@@ -1,0 +1,9 @@
+"""Makes ``bench`` (and, for the request-list tests, nothing else)
+importable when running ``python -m pytest bench/tests`` from the root."""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
