@@ -8,8 +8,8 @@ micro-clusters are extracted online by the
 day, and each day is installed into the forest the moment the event
 watermark crosses into the next day.
 
-The central invariant — pinned by ``tests/ingest`` and gated by the
-``ingest_throughput`` benchmark — is **batch parity**: after a day closes
+The central invariant — pinned by ``tests/ingest`` — is **batch
+parity**: after a day closes
 (or :meth:`flush`), the engine's forest, cube and built-day set are
 byte-identical to a batch build over the same records. Three mechanisms
 carry it:

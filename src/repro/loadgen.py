@@ -3,8 +3,7 @@
 Drives ``POST /query`` against a running ``repro serve`` with a weighted
 mix of request shapes (day / week / month windows, explain on or off)
 and reports achieved throughput, latency percentiles and error rate —
-the numbers the ``serve_load`` bench gate and the CI ``load-smoke`` job
-judge.
+the numbers the CI ``load-smoke`` job judges.
 
 Two modes, because they answer different questions:
 
@@ -123,7 +122,7 @@ class LoadReport:
         return ordered[rank]
 
     def to_dict(self) -> Dict[str, object]:
-        """The ``BENCH_load.json`` document (and bench report section)."""
+        """The JSON report document ``repro loadgen --out`` writes."""
         latency = {
             "p50": self.quantile(0.50),
             "p95": self.quantile(0.95),

@@ -30,8 +30,8 @@ technique: statistical wall-clock sampling.
 
 The sampler holds no locks while walking frames (``sys._current_frames``
 returns a consistent snapshot dict) and costs one dict fold per thread
-per tick; the ``prof_overhead`` benchmark phase gates the end-to-end tax
-on served latency at ≤ 1.10×.
+per tick; its budget for the end-to-end tax on served latency is
+≤ 1.10×.
 """
 
 from __future__ import annotations

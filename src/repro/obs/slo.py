@@ -721,7 +721,7 @@ def evaluate_snapshot(
     A snapshot has no history, so every "window" is the process lifetime:
     the lifetime bad-fraction is compared against each window pair's
     factor exactly as the windowed path would. Coarser than the tsdb
-    path, but it lets ``repro slo check BENCH_metrics.json`` (or any
+    path, but it lets ``repro slo check metrics.json`` (any
     ``--metrics-out`` artifact) gate on the same objectives.
     """
     counters: Mapping[str, float] = snapshot.get("counters", {})  # type: ignore[assignment]

@@ -582,7 +582,7 @@ class ColumnarForest(AtypicalForest):
     day's column group; a stored week pulls its day groups plus its own
     merge products; everything else stays on disk as cold pages. Queries
     therefore touch ``O(queried days)`` bytes, not ``O(model)`` — the
-    behaviour the ``query_io`` bench phase asserts.
+    behaviour ``tests/storage/test_columnar.py`` asserts.
 
     The forest stays fully mutable: structural mutations (``add_day``,
     level installs) and whole-registry reads (``export_state``) first

@@ -28,6 +28,13 @@ from repro.core.similarity import (
     pairwise_similarity,
     similarity,
 )
+from tests.reference.scalar import (
+    as_dicts,
+    dict_similarity,
+    scalar_indexed_integrate,
+    scalar_rescan_naive_integrate,
+    synthetic_micro_clusters,
+)
 
 severities = st.floats(
     min_value=1e-3, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -105,8 +112,6 @@ class TestOverlap:
                 assert matrix[i, j] == fi.overlap(fj)
 
     def test_pairwise_matrix_fallback_matches_sparse(self, monkeypatch):
-        from repro.perf import synthetic_micro_clusters
-
         fs = [c.spatial for c in synthetic_micro_clusters(num_clusters=40, seed=13)]
         with_scipy = kernels.pairwise_overlap_matrix(fs)
         monkeypatch.setattr(kernels, "_sparse", None)
@@ -156,8 +161,6 @@ class TestSimilarityAgreement:
 
     def test_kernels_bit_identical_on_workload(self):
         """On a realistic workload the three paths agree *exactly*."""
-        from repro.perf import synthetic_micro_clusters
-
         clusters = synthetic_micro_clusters(num_clusters=60, seed=11)
         for balance in sorted(BALANCE_FUNCTIONS):
             measure = ClusterSimilarity(balance)
@@ -168,9 +171,19 @@ class TestSimilarityAgreement:
                 assert batch.tolist() == scalar
                 assert matrix[i].tolist() == scalar
 
-    def test_matrix_and_candidates_mask(self):
-        from repro.perf import synthetic_micro_clusters
+    @pytest.mark.parametrize("balance", sorted(BALANCE_FUNCTIONS))
+    def test_all_pairs_kernel_equals_dict_oracle(self, balance):
+        """The one-CSR-product all-pairs kernel has max abs error 0
+        against the dict-loop Eq. 2 oracle."""
+        clusters = synthetic_micro_clusters(num_clusters=80, seed=7)
+        g = BALANCE_FUNCTIONS[balance]
+        dicts = [as_dicts(c) for c in clusters]
+        matrix = pairwise_similarity(clusters, balance)
+        for i in range(len(clusters)):
+            for j in range(i + 1, len(clusters)):
+                assert matrix[i, j] == dict_similarity(dicts[i], dicts[j], g)
 
+    def test_matrix_and_candidates_mask(self):
         clusters = synthetic_micro_clusters(num_clusters=40, seed=3)
         measure = ClusterSimilarity("avg")
         sim, mask = measure.matrix_and_candidates(clusters, True)
@@ -255,8 +268,6 @@ def _byte_signature(clusters) -> set:
 
 class TestIntegrationEquivalence:
     def test_indexed_engine_byte_identical_to_scalar_reimplementation(self):
-        from repro.perf import scalar_indexed_integrate, synthetic_micro_clusters
-
         clusters = synthetic_micro_clusters(num_clusters=120, seed=5)
         scalar_clusters, scalar_merges, _ = scalar_indexed_integrate(clusters)
         result = integrate(clusters, method="indexed")
@@ -266,11 +277,6 @@ class TestIntegrationEquivalence:
         )
 
     def test_heap_naive_byte_identical_to_rescan(self):
-        from repro.perf import (
-            scalar_rescan_naive_integrate,
-            synthetic_micro_clusters,
-        )
-
         clusters = synthetic_micro_clusters(num_clusters=80, seed=9)
         rescan_clusters, rescan_merges, _ = scalar_rescan_naive_integrate(
             clusters
@@ -282,8 +288,6 @@ class TestIntegrationEquivalence:
         )
 
     def test_shared_cache_reuses_pair_scores(self):
-        from repro.perf import synthetic_micro_clusters
-
         clusters = synthetic_micro_clusters(num_clusters=60, seed=2)
         cache = SimilarityCache()
         first = integrate(clusters, method="indexed", cache=cache)

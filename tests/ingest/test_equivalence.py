@@ -2,8 +2,9 @@
 
 A day streamed through :class:`IngestEngine` — in any batch chunking —
 must leave the forest, cube and snapshot files exactly as a batch build
-over the same records would. The byte-level check here is the same one
-the ``ingest_throughput`` benchmark gates on every run.
+over the same records would. These tests are the standing gate on that
+equality; the ``ingest_backfill`` workload of ``bench/`` re-checks
+``cube.bin`` end to end against a live server.
 """
 
 from __future__ import annotations

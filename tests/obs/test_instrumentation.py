@@ -10,7 +10,7 @@ from repro.analysis.engine import AnalysisEngine
 from repro.core.integration import ClusterIntegrator, SimilarityCache
 from repro.core.records import RecordBatch
 from repro.core.streaming import OnlineEventTracker
-from repro.perf import synthetic_micro_clusters
+from tests.reference.scalar import synthetic_micro_clusters
 
 
 class TestIntegrationParity:

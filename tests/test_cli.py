@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import importlib
 import json
 
 import pytest
@@ -54,7 +55,6 @@ class TestParser:
             "build": ["build", "--data", "d", "--model", "m"],
             "query": ["query", "--data", "d", "--model", "m"],
             "info": ["info", "--data", "d"],
-            "bench": ["bench"],
             "stats": ["stats", "m.json"],
             "convert": ["convert", "m", "--to", "columnar"],
         }
@@ -65,6 +65,32 @@ class TestParser:
             assert args.command == command
             assert args.log_level == "debug"
             assert str(args.metrics_out) == "m.json"
+
+    def test_workers_is_a_build_flag_only(self, capsys):
+        parser = build_parser()
+        args = parser.parse_args(
+            ["build", "--data", "d", "--model", "m", "--workers", "2"]
+        )
+        assert args.workers == 2 and args.shard_by == "day"
+        for flag in (["--workers", "2"], ["--shard-by", "day"]):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(["query", "--data", "d", "--model", "m", *flag])
+            assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestRetiredBench:
+    """The in-process benchmark is gone; ``bench/`` is the only yardstick."""
+
+    def test_bench_subcommand_is_an_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+    def test_perf_module_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(".perf", package="repro")
 
 
 class TestGenerate(object):
@@ -268,26 +294,6 @@ class TestMetricsOut:
         out = capsys.readouterr().out
         assert "# TYPE repro_integration_comparisons_total counter" in out
 
-    def test_bench_snapshot(self, tmp_path, capsys):
-        metrics = tmp_path / "bench_metrics.json"
-        code = main(
-            [
-                "bench",
-                "--clusters", "40",
-                "--repeats", "1",
-                "--metrics-out", str(metrics),
-            ]
-        )
-        assert code == 0
-        snapshot = obs.load_snapshot(metrics)
-        names = {s["name"] for s in snapshot["spans"]}
-        assert {
-            "bench.workload",
-            "bench.similarity_kernel",
-            "bench.integration",
-            "bench.naive_fixpoint",
-        } <= names
-
     def test_stats_missing_file(self, tmp_path, capsys):
         code = main(["stats", str(tmp_path / "missing.json")])
         assert code == 2
@@ -425,7 +431,7 @@ class TestProfileFlag:
 
     def test_profile_choices_rejects_unknown(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench", "--profile", "perf"])
+            build_parser().parse_args(["info", "--data", "d", "--profile", "perf"])
 
 
 SLO_YAML = "slos:\n  - name: avail\n    kind: availability\n    objective: 0.99\n"
