@@ -19,10 +19,9 @@ technique: statistical wall-clock sampling.
   collapsed stacks to ``[running, waiting]`` sample counts. Windows are
   the unit of persistence, pinning (alert exemplars) and diffing.
 * Segments — finished windows append to ``prof-NNNNNN.ndjson`` files
-  with the same size-based rotation and bounded retention as
-  :mod:`repro.obs.tsdb` / :mod:`repro.obs.tracestore`;
-  :func:`load_prof_segments` replays them torn-line-tolerantly and
-  deduplicates by window id, so ``repro prof`` works offline.
+  in the :mod:`repro.obs.segmentlog` format; :func:`load_prof_segments`
+  replays them and deduplicates by window id, so ``repro prof`` works
+  offline.
 * Exports — :func:`collapse_text` renders flamegraph.pl-compatible
   collapsed stacks; :func:`speedscope_doc` renders the speedscope JSON
   file format. Both are served by ``GET /profile`` and ``repro prof
@@ -36,7 +35,6 @@ per tick; its budget for the end-to-end tax on served latency is
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import threading
@@ -45,6 +43,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro import obs
+from repro.obs.segmentlog import SegmentLog, read_rows
 
 __all__ = [
     "ContinuousProfiler",
@@ -448,9 +447,9 @@ class ContinuousProfiler:
     ``sys._current_frames()``, folds every thread (except itself) into
     the current :class:`ProfileWindow`, and rolls the window every
     ``window_seconds``: finished windows enter a bounded in-memory ring
-    (plus a pinned map for alert exemplars) and append one NDJSON row to
-    the current ``prof-NNNNNN.ndjson`` segment, rotating and pruning
-    exactly like the tsdb and trace stores.
+    (plus a pinned map for alert exemplars) and, when ``segment_dir`` is
+    set, append one NDJSON row to ``log``, a
+    :class:`~repro.obs.segmentlog.SegmentLog` (``None`` otherwise).
 
     The profiler reports on itself through the metrics registry
     (``prof.samples``, ``prof.windows``, ``prof.segment_rotations``) and
@@ -464,8 +463,6 @@ class ContinuousProfiler:
         hz: float = DEFAULT_HZ,
         window_seconds: float = DEFAULT_WINDOW_SECONDS,
         segment_dir: Optional[Path] = None,
-        max_segment_bytes: int = 1 << 20,
-        max_segments: int = 8,
         keep_windows: int = 30,
         max_pinned: int = 16,
     ):
@@ -488,22 +485,11 @@ class ContinuousProfiler:
         self._pinned: Dict[str, ProfileWindow] = {}
         self._pin_requests: set = set()
         self._windows_folded = 0
-        self._last_flush: Optional[float] = None
-        self._segment_dir = Path(segment_dir) if segment_dir is not None else None
-        self._max_segment_bytes = int(max_segment_bytes)
-        self._max_segments = max(1, int(max_segments))
-        self._segment_index = 0
-        self._segment_bytes = 0
-        self._rotations = 0
-        if self._segment_dir is not None:
-            self._segment_dir.mkdir(parents=True, exist_ok=True)
-            existing = sorted(
-                self._segment_dir.glob(f"{PROF_SEGMENT_PREFIX}*.ndjson")
-            )
-            if existing:
-                last = existing[-1]
-                self._segment_index = int(last.stem[len(PROF_SEGMENT_PREFIX):])
-                self._segment_bytes = last.stat().st_size
+        self.log = (
+            SegmentLog(segment_dir, PROF_SEGMENT_PREFIX)
+            if segment_dir is not None
+            else None
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -517,14 +503,9 @@ class ContinuousProfiler:
         return self._window_seconds
 
     @property
-    def segment_dir(self) -> Optional[Path]:
-        """Where segments are written, or ``None`` for in-memory only."""
-        return self._segment_dir
-
-    @property
     def rotations(self) -> int:
         """Completed on-disk segment rotations since creation."""
-        return self._rotations
+        return self.log.rotations if self.log is not None else 0
 
     @property
     def windows_folded(self) -> int:
@@ -561,17 +542,16 @@ class ContinuousProfiler:
         if len(self._recent) > self._keep_windows:
             del self._recent[0]
         self._windows_folded += 1
-        if self._segment_dir is not None:
+        if self.log is not None:
             try:
-                self._append_row(window.to_dict())
-                self._last_flush = time.time()
+                self.log.append(window.to_dict())
             except OSError:  # noqa: PERF203 — persistence is best-effort
                 obs.get_logger("repro.obs.contprof").exception(
                     "profile segment append failed"
                 )
         if obs.enabled():
             obs.counter("prof.windows").inc()
-            rotations = self._rotations
+            rotations = self.rotations
             recorded = obs.registry().counter("prof.segment_rotations")
             if rotations > recorded.value:
                 recorded.inc(rotations - recorded.value)
@@ -639,7 +619,8 @@ class ContinuousProfiler:
         try:
             with self._lock:
                 self._fold_locked(time.time())
-            self.sync()
+            if self.log is not None:
+                self.log.sync()
         except Exception:  # noqa: BLE001 — flush is best-effort
             pass
         return True
@@ -696,26 +677,17 @@ class ContinuousProfiler:
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, object]:
-        """The /healthz subsystem block: liveness, flush age, segments."""
+        """Liveness and window counters for the /healthz profiler block."""
         with self._lock:
             current = self._current
-            doc: Dict[str, object] = {
-                "enabled": True,
+            return {
                 "running": self.running(),
                 "hz": self._hz,
                 "window_seconds": self._window_seconds,
                 "windows": self._windows_folded,
                 "pinned": len(self._pinned),
                 "current_window": current.id if current is not None else None,
-                "current_samples": current.samples if current is not None else 0,
             }
-        doc["segments"] = len(self.segment_paths())
-        doc["last_flush_age_seconds"] = (
-            None
-            if self._last_flush is None
-            else max(0.0, round(time.time() - self._last_flush, 3))
-        )
-        return doc
 
     def profile_doc(self, limit: int = 10) -> Dict[str, object]:
         """The default ``GET /profile`` JSON: summary + hottest frames."""
@@ -738,90 +710,22 @@ class ContinuousProfiler:
             "top": merged.top_frames(limit),
         }
 
-    # ------------------------------------------------------------------
-    # Segment persistence (mirrors TimeSeriesStore / TraceStore)
-    # ------------------------------------------------------------------
-    def _segment_path(self) -> Path:
-        assert self._segment_dir is not None
-        return (
-            self._segment_dir
-            / f"{PROF_SEGMENT_PREFIX}{self._segment_index:06d}.ndjson"
-        )
-
-    def _append_row(self, row: Mapping[str, object]) -> None:
-        line = json.dumps(row, sort_keys=True) + "\n"
-        encoded = line.encode()
-        if (
-            self._segment_bytes
-            and self._segment_bytes + len(encoded) > self._max_segment_bytes
-        ):
-            self._segment_index += 1
-            self._segment_bytes = 0
-            self._rotations += 1
-            self._prune_segments()
-        with self._segment_path().open("a") as handle:
-            handle.write(line)
-        self._segment_bytes += len(encoded)
-
-    def _prune_segments(self) -> None:
-        assert self._segment_dir is not None
-        segments = sorted(self._segment_dir.glob(f"{PROF_SEGMENT_PREFIX}*.ndjson"))
-        for stale in segments[: max(0, len(segments) - (self._max_segments - 1))]:
-            stale.unlink(missing_ok=True)
-
-    def segment_paths(self) -> List[Path]:
-        """The on-disk segment files, oldest first (empty when in-memory)."""
-        if self._segment_dir is None:
-            return []
-        return sorted(self._segment_dir.glob(f"{PROF_SEGMENT_PREFIX}*.ndjson"))
-
-    def sync(self) -> None:
-        """fsync the open segment so the tail survives power loss."""
-        if self._segment_dir is None:
-            return
-        path = self._segment_path()
-        if not path.exists():
-            return
-        fd = os.open(path, os.O_RDONLY)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-
 
 def load_prof_segments(directory: Path | str) -> List[ProfileWindow]:
     """Replay a segment directory into windows, oldest first.
 
-    Unparseable trailing lines (a torn final write from a crash) are
-    skipped rather than fatal, and duplicate window ids — a segment
-    replayed twice, or a window re-appended after a crash-restart —
-    deduplicate to the last occurrence. Raises ``FileNotFoundError``
-    when the directory does not exist and ``ValueError`` when it holds
-    no segments.
+    Torn lines are skipped by :func:`repro.obs.segmentlog.read_rows`,
+    rows that :meth:`ProfileWindow.from_dict` rejects are skipped here,
+    and duplicate window ids — a segment replayed twice, or a window
+    re-appended after a crash-restart — deduplicate to the last
+    occurrence. Raises ``FileNotFoundError`` when the directory does not
+    exist and ``ValueError`` when it holds no segments.
     """
-    directory = Path(directory)
-    if not directory.is_dir():
-        raise FileNotFoundError(f"no such profile directory: {directory}")
-    segments = sorted(directory.glob(f"{PROF_SEGMENT_PREFIX}*.ndjson"))
-    if not segments:
-        raise ValueError(
-            f"{directory} contains no {PROF_SEGMENT_PREFIX}*.ndjson segments"
-        )
     by_id: Dict[str, ProfileWindow] = {}
-    for segment in segments:
-        for line in segment.read_text().splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except ValueError:
-                continue
-            if not isinstance(row, dict):
-                continue
-            try:
-                window = ProfileWindow.from_dict(row)
-            except ValueError:
-                continue
-            by_id[window.id] = window
+    for row in read_rows(directory, PROF_SEGMENT_PREFIX, "profile"):
+        try:
+            window = ProfileWindow.from_dict(row)
+        except ValueError:
+            continue
+        by_id[window.id] = window
     return sorted(by_id.values(), key=lambda w: (w.start, w.id))

@@ -3,11 +3,10 @@
 The query service captures every request's span tree but only *keeps*
 the ones that matter — errored requests, requests slower than a latency
 threshold, and a deterministic 1-in-N head sample. The kept traces go
-into a :class:`TraceStore`, which mirrors :mod:`repro.obs.tsdb`'s
-persistence model: append-only NDJSON segments (``trace-NNNNNN.ndjson``)
-with size-based rotation and bounded retention, plus an in-memory ring
-of recent traces indexed by request id and queryable by duration and
-status. This is the drill-down layer under the SLO engine: a PAGE alert
+into a :class:`TraceStore`: an in-memory ring of recent traces indexed
+by request id and queryable by duration and status, plus optional
+``trace-NNNNNN.ndjson`` segments in the :mod:`repro.obs.segmentlog`
+format. This is the drill-down layer under the SLO engine: a PAGE alert
 carries exemplar trace ids, and ``repro trace show <id>`` resolves them
 here into a critical-path/self-time breakdown.
 
@@ -26,8 +25,6 @@ Analysis helpers operate on the snapshot span-dict shape produced by
 from __future__ import annotations
 
 import collections
-import json
-import os
 import threading
 import zlib
 from dataclasses import dataclass, field
@@ -44,6 +41,7 @@ from typing import (
     Tuple,
 )
 
+from repro.obs.segmentlog import SegmentLog, read_rows
 from repro.obs.tracing import to_chrome_trace
 
 __all__ = [
@@ -169,89 +167,30 @@ class TraceRecord:
 class TraceStore:
     """Bounded in-memory ring of recent traces with optional persistence.
 
-    Mirrors :class:`repro.obs.tsdb.TimeSeriesStore`'s segment scheme:
-    when ``segment_dir`` is set every added trace is appended as one
-    NDJSON line to ``trace-NNNNNN.ndjson``, segments rotate once they
-    exceed ``max_segment_bytes``, and only the newest ``max_segments``
-    files are retained. The in-memory ring keeps the last ``ring_size``
-    traces (newest wins on duplicate request ids) for ``GET /traces``,
-    the dashboard panel, and SLO exemplar lookup. All methods are
-    thread-safe — requests finish on server worker threads.
+    When ``segment_dir`` is set, ``log`` is a
+    :class:`~repro.obs.segmentlog.SegmentLog` and every added trace is
+    appended to it as one NDJSON line (``None`` otherwise). Appends happen
+    under the ring lock, so disk order equals ring order and replay's
+    newest-wins rule matches the live ring. The ring keeps the last
+    ``ring_size`` traces (newest wins on duplicate request ids) for
+    ``GET /traces``, the dashboard panel, and SLO exemplar lookup. All
+    methods are thread-safe — requests finish on server worker threads.
     """
 
     def __init__(
         self,
         segment_dir: Optional[Path] = None,
-        max_segment_bytes: int = 1 << 20,
-        max_segments: int = 8,
         ring_size: Optional[int] = DEFAULT_RING_SIZE,
     ) -> None:
         self._lock = threading.Lock()
         self._ring: Deque[TraceRecord] = collections.deque(maxlen=ring_size)
         self._by_id: Dict[str, TraceRecord] = {}
         self._added = 0
-        self._segment_dir = Path(segment_dir) if segment_dir is not None else None
-        self._max_segment_bytes = max(1, int(max_segment_bytes))
-        self._max_segments = max(1, int(max_segments))
-        self._segment_index = 0
-        self._segment_bytes = 0
-        self._rotations = 0
-        if self._segment_dir is not None:
-            self._segment_dir.mkdir(parents=True, exist_ok=True)
-            existing = self._segment_files()
-            if existing:
-                self._segment_index = self._parse_index(existing[-1])
-                self._segment_bytes = existing[-1].stat().st_size
-
-    # -- persistence plumbing (mirrors tsdb.TimeSeriesStore) -----------
-    @staticmethod
-    def _parse_index(path: Path) -> int:
-        stem = path.stem
-        try:
-            return int(stem[len(TRACE_SEGMENT_PREFIX):])
-        except ValueError:
-            return 0
-
-    def _segment_files(self) -> List[Path]:
-        assert self._segment_dir is not None
-        return sorted(self._segment_dir.glob(f"{TRACE_SEGMENT_PREFIX}*.ndjson"))
-
-    def _segment_path(self) -> Path:
-        assert self._segment_dir is not None
-        return (
-            self._segment_dir
-            / f"{TRACE_SEGMENT_PREFIX}{self._segment_index:06d}.ndjson"
+        self.log = (
+            SegmentLog(segment_dir, TRACE_SEGMENT_PREFIX)
+            if segment_dir is not None
+            else None
         )
-
-    def _append_row(self, row: Dict[str, Any]) -> None:
-        line = json.dumps(row, sort_keys=True) + "\n"
-        encoded = line.encode("utf-8")
-        if (
-            self._segment_bytes
-            and self._segment_bytes + len(encoded) > self._max_segment_bytes
-        ):
-            self._segment_index += 1
-            self._segment_bytes = 0
-            self._rotations += 1
-            self._prune_segments()
-        with self._segment_path().open("a", encoding="utf-8") as handle:
-            handle.write(line)
-        self._segment_bytes += len(encoded)
-
-    def _prune_segments(self) -> None:
-        segments = self._segment_files()
-        excess = len(segments) - (self._max_segments - 1)
-        for stale in segments[: max(0, excess)]:
-            try:
-                stale.unlink()
-            except OSError:  # pragma: no cover - racing deleters
-                pass
-
-    # -- public API ----------------------------------------------------
-    @property
-    def segment_dir(self) -> Optional[Path]:
-        """Directory traces persist into, or ``None`` for memory-only."""
-        return self._segment_dir
 
     @property
     def added(self) -> int:
@@ -275,8 +214,8 @@ class TraceStore:
                     del self._by_id[evicted.request_id]
             ring.append(record)
             self._by_id[record.request_id] = record
-            if persist and self._segment_dir is not None:
-                self._append_row(record.to_dict())
+            if persist and self.log is not None:
+                self.log.append(record.to_dict())
 
     def get(self, request_id: str) -> Optional[TraceRecord]:
         """Latest trace for ``request_id``, or ``None`` when unknown."""
@@ -306,62 +245,29 @@ class TraceStore:
             records = records[: max(0, int(limit))]
         return records
 
-    def segment_paths(self) -> List[Path]:
-        """The on-disk segment files, oldest first (empty when in-memory)."""
-        if self._segment_dir is None:
-            return []
-        return self._segment_files()
-
     def sync(self) -> None:
         """fsync the open segment so kept traces survive process death."""
-        if self._segment_dir is None:
-            return
-        with self._lock:
-            path = self._segment_path()
-        if not path.exists():
-            return
-        fd = os.open(path, os.O_RDONLY)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
+        if self.log is not None:
+            self.log.sync()
 
 
-def load_trace_segments(
-    directory: Path, ring_size: Optional[int] = None
-) -> TraceStore:
+def load_trace_segments(directory: Path) -> TraceStore:
     """Replay persisted ``trace-*.ndjson`` segments into a memory-only store.
 
-    Tolerant of torn trailing lines (a crash mid-append) and malformed
-    rows — both are skipped, everything parseable is kept. Duplicate
+    The replayed ring is unbounded. Torn lines are skipped by
+    :func:`repro.obs.segmentlog.read_rows`, and rows that
+    :meth:`TraceRecord.from_dict` rejects are skipped here. Duplicate
     request ids resolve to the newest occurrence, matching the live
     ring's behaviour. Raises ``FileNotFoundError`` when ``directory``
     does not exist and ``ValueError`` when it holds no trace segments.
     """
-    directory = Path(directory)
-    if not directory.is_dir():
-        raise FileNotFoundError(f"no such trace directory: {directory}")
-    segments = sorted(directory.glob(f"{TRACE_SEGMENT_PREFIX}*.ndjson"))
-    if not segments:
-        raise ValueError(f"no {TRACE_SEGMENT_PREFIX}*.ndjson segments in {directory}")
-    store = TraceStore(ring_size=ring_size)
-    for segment in segments:
-        with segment.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    doc = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # torn trailing line from a crashed writer
-                if not isinstance(doc, dict):
-                    continue
-                try:
-                    record = TraceRecord.from_dict(doc)
-                except ValueError:
-                    continue
-                store.add(record, persist=False)
+    store = TraceStore(ring_size=None)
+    for doc in read_rows(directory, TRACE_SEGMENT_PREFIX, "trace"):
+        try:
+            record = TraceRecord.from_dict(doc)
+        except ValueError:
+            continue
+        store.add(record, persist=False)
     return store
 
 

@@ -19,8 +19,8 @@ day → week → month hierarchy at telemetry scale:
 * :class:`Sampler` — the in-process thread ``repro serve`` runs: every
   ``interval`` seconds it folds a spans-free registry snapshot into the
   store and appends one NDJSON row to the current on-disk segment.
-* Segments — append-only ``tsdb-NNNNNN.ndjson`` files with size-based
-  rotation and a bounded retention count, re-loadable with
+* Segments — ``tsdb-NNNNNN.ndjson`` files in the
+  :mod:`repro.obs.segmentlog` format, re-loadable with
   :func:`load_segments` so ``repro slo check`` and post-mortems can
   evaluate windows against history that survived the process.
 
@@ -30,8 +30,6 @@ registry's span machinery and costs one snapshot per tick.
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 import time
 from dataclasses import dataclass
@@ -40,6 +38,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.segmentlog import SegmentLog, read_rows
 
 __all__ = [
     "Bucket",
@@ -284,11 +283,11 @@ class TimeSeriesStore:
     """Named series plus optional append-only NDJSON segment persistence.
 
     In-memory it is a dict of :class:`Series`; with ``segment_dir`` set,
-    every ingested sample row is also appended to the current segment
-    file, which rotates at ``max_segment_bytes`` and keeps at most
-    ``max_segments`` files (oldest deleted). The on-disk rows are exactly
-    what :func:`sample_point` produces, so :func:`load_segments` can
-    rebuild an equivalent store after the process is gone.
+    ``log`` is a :class:`~repro.obs.segmentlog.SegmentLog` and every
+    ingested sample row is also appended to it (``None`` otherwise). The
+    on-disk rows are exactly what :func:`sample_point` produces, so
+    :func:`load_segments` can rebuild an equivalent store after the
+    process is gone.
     """
 
     def __init__(
@@ -296,27 +295,15 @@ class TimeSeriesStore:
         resolutions: Sequence[float] = DEFAULT_RESOLUTIONS,
         capacity: int = DEFAULT_CAPACITY,
         segment_dir: Optional[Path] = None,
-        max_segment_bytes: int = 1 << 20,
-        max_segments: int = 8,
     ):
         self._resolutions = tuple(sorted(float(r) for r in resolutions))
         self._capacity = int(capacity)
         self._series: Dict[str, Series] = {}
         self._lock = threading.Lock()
-        self._segment_dir = Path(segment_dir) if segment_dir is not None else None
-        self._max_segment_bytes = int(max_segment_bytes)
-        self._max_segments = max(1, int(max_segments))
-        self._segment_index = 0
-        self._segment_bytes = 0
-        self._rotations = 0
         self._samples = 0
-        if self._segment_dir is not None:
-            self._segment_dir.mkdir(parents=True, exist_ok=True)
-            existing = sorted(self._segment_dir.glob(f"{SEGMENT_PREFIX}*.ndjson"))
-            if existing:
-                last = existing[-1]
-                self._segment_index = int(last.stem[len(SEGMENT_PREFIX):])
-                self._segment_bytes = last.stat().st_size
+        self.log = (
+            SegmentLog(segment_dir, SEGMENT_PREFIX) if segment_dir is not None else None
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -327,12 +314,7 @@ class TimeSeriesStore:
     @property
     def rotations(self) -> int:
         """Completed on-disk segment rotations since creation."""
-        return self._rotations
-
-    @property
-    def segment_dir(self) -> Optional[Path]:
-        """Where segments are written, or ``None`` for in-memory only."""
-        return self._segment_dir
+        return self.log.rotations if self.log is not None else 0
 
     def series_names(self) -> List[str]:
         """Sorted names of every series the store has seen."""
@@ -365,8 +347,8 @@ class TimeSeriesStore:
         for name, value in point["series"].items():  # type: ignore[union-attr]
             self.observe(name, kinds.get(name, "gauge"), ts, float(value))
         self._samples += 1
-        if persist and self._segment_dir is not None:
-            self._append_row(point)
+        if persist and self.log is not None:
+            self.log.append(point)
 
     def sample_registry(
         self,
@@ -408,91 +390,37 @@ class TimeSeriesStore:
             return []
         return [b.to_dict() for b in series.buckets(resolution, since)]
 
-    # ------------------------------------------------------------------
-    # Segment persistence
-    # ------------------------------------------------------------------
-    def _segment_path(self) -> Path:
-        assert self._segment_dir is not None
-        return self._segment_dir / f"{SEGMENT_PREFIX}{self._segment_index:06d}.ndjson"
 
-    def _append_row(self, point: Mapping[str, object]) -> None:
-        line = json.dumps(point, sort_keys=True) + "\n"
-        encoded = line.encode()
-        if (
-            self._segment_bytes
-            and self._segment_bytes + len(encoded) > self._max_segment_bytes
-        ):
-            self._segment_index += 1
-            self._segment_bytes = 0
-            self._rotations += 1
-            self._prune_segments()
-        with self._segment_path().open("a") as handle:
-            handle.write(line)
-        self._segment_bytes += len(encoded)
-
-    def _prune_segments(self) -> None:
-        assert self._segment_dir is not None
-        segments = sorted(self._segment_dir.glob(f"{SEGMENT_PREFIX}*.ndjson"))
-        for stale in segments[: max(0, len(segments) - (self._max_segments - 1))]:
-            stale.unlink(missing_ok=True)
-
-    def segment_paths(self) -> List[Path]:
-        """The on-disk segment files, oldest first (empty when in-memory)."""
-        if self._segment_dir is None:
-            return []
-        return sorted(self._segment_dir.glob(f"{SEGMENT_PREFIX}*.ndjson"))
-
-    def sync(self) -> None:
-        """fsync the open segment so the tail survives power loss.
-
-        Appends go through buffered writes that the OS flushes at its
-        leisure; the graceful-shutdown path calls this after the final
-        sample so the last ``--sample-interval`` of telemetry is durably
-        on disk before the process exits. No-op for in-memory stores.
-        """
-        if self._segment_dir is None:
-            return
-        path = self._segment_path()
-        if not path.exists():
-            return
-        fd = os.open(path, os.O_RDONLY)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def load_segments(
-    directory: Path | str,
-    resolutions: Sequence[float] = DEFAULT_RESOLUTIONS,
-    capacity: int = DEFAULT_CAPACITY,
-) -> TimeSeriesStore:
+def _replayable(point: Mapping[str, object]) -> bool:
+    """True when a decoded row has the shape :meth:`TimeSeriesStore.ingest` folds."""
+    series, kinds = point.get("series"), point.get("kinds", {})
+    return (
+        _is_number(point.get("t"))
+        and isinstance(series, dict)
+        and all(_is_number(value) for value in series.values())
+        and isinstance(kinds, dict)
+        and all(kinds.get(name, "gauge") in ("counter", "gauge") for name in series)
+    )
+
+
+def load_segments(directory: Path | str) -> TimeSeriesStore:
     """Rebuild an in-memory store from a segment directory.
 
-    Rows are replayed oldest segment first; unparseable trailing lines
-    (a torn final write from a crash) are skipped rather than fatal —
-    a post-mortem wants the 10 000 good rows, not an exception about the
-    last one. Raises ``FileNotFoundError`` when the directory does not
-    exist and ``ValueError`` when it holds no segments.
+    Rows are replayed oldest segment first through
+    :func:`repro.obs.segmentlog.read_rows`, which skips torn lines; rows
+    that parse but do not have the sample shape (a non-numeric ``t`` or
+    value, a non-mapping ``series``) are skipped too — a post-mortem
+    wants the 10 000 good rows, not an exception about one bad one.
+    Raises ``FileNotFoundError`` when the directory does not exist and
+    ``ValueError`` when it holds no segments.
     """
-    directory = Path(directory)
-    if not directory.is_dir():
-        raise FileNotFoundError(f"no such tsdb directory: {directory}")
-    segments = sorted(directory.glob(f"{SEGMENT_PREFIX}*.ndjson"))
-    if not segments:
-        raise ValueError(f"{directory} contains no {SEGMENT_PREFIX}*.ndjson segments")
-    store = TimeSeriesStore(resolutions=resolutions, capacity=capacity)
-    for segment in segments:
-        for line in segment.read_text().splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                point = json.loads(line)
-            except ValueError:
-                continue
-            if not isinstance(point, dict) or "t" not in point or "series" not in point:
-                continue
+    store = TimeSeriesStore()
+    for point in read_rows(directory, SEGMENT_PREFIX, "tsdb"):
+        if _replayable(point):
             store.ingest(point, persist=False)
     return store
 
@@ -567,9 +495,10 @@ class Sampler:
         """Graceful stop: final sample, fsync, join; True when stopped.
 
         The final :meth:`sample_once` flushes the in-progress partial
-        window to the store (and its segment), and
-        :meth:`TimeSeriesStore.sync` then fsyncs the open segment — so a
-        SIGTERM never loses the last ``interval`` of telemetry.
+        window to the store (and its segment), and the store's
+        :meth:`~repro.obs.segmentlog.SegmentLog.sync` then fsyncs the open
+        segment — so a SIGTERM never loses the last ``interval`` of
+        telemetry.
         """
         self._stop.set()
         thread = self._thread
@@ -580,7 +509,8 @@ class Sampler:
             self._thread = None
         try:
             self.sample_once()
-            self._store.sync()
+            if self._store.log is not None:
+                self._store.log.sync()
         except Exception:  # noqa: BLE001 — flush is best-effort
             pass
         return True

@@ -660,85 +660,47 @@ class ServeApp:
         doc["subsystems"] = self.subsystems()
         return doc
 
-    @staticmethod
-    def _flush_age(segments) -> Optional[float]:
-        """Seconds since the newest segment file was written, or None."""
-        newest = None
-        for path in segments:
-            try:
-                mtime = path.stat().st_mtime
-            except OSError:
-                continue
-            newest = mtime if newest is None else max(newest, mtime)
-        if newest is None:
-            return None
-        return max(0.0, round(time.time() - newest, 3))
-
     def subsystems(self) -> Dict[str, Dict[str, object]]:
         """Uniform per-subsystem health: the ``/healthz`` subsystems block.
 
         Every optional background subsystem answers the same three
         operator questions — is it on, is it flushing, how much is on
         disk — whether or not it is enabled, so dashboards and runbooks
-        can key on a stable shape.
+        can key on a stable shape. The segment-backed ones take
+        ``segments`` and ``last_flush_age_seconds`` from
+        :meth:`repro.obs.segmentlog.SegmentLog.health`.
         """
-        tsdb: Dict[str, object] = {
-            "enabled": self._tsdb_sampler is not None,
-            "segments": 0,
-            "last_flush_age_seconds": None,
-        }
+
+        def block(enabled: bool, log=None, **extra) -> Dict[str, object]:
+            health = (
+                log.health()
+                if log is not None
+                else {"segments": 0, "last_flush_age_seconds": None}
+            )
+            return {"enabled": enabled, **health, **extra}
+
+        tsdb = block(False)
         if self._tsdb_sampler is not None:
             store = self._tsdb_sampler.store
-            segments = store.segment_paths()
-            tsdb.update(
-                {
-                    "segments": len(segments),
-                    "last_flush_age_seconds": self._flush_age(segments),
-                    "interval_seconds": self._tsdb_sampler.interval,
-                    "samples": store.samples,
-                    "series": len(store.series_names()),
-                }
+            tsdb = block(
+                True,
+                store.log,
+                interval_seconds=self._tsdb_sampler.interval,
+                samples=store.samples,
+                series=len(store.series_names()),
             )
-        traces: Dict[str, object] = {
-            "enabled": self._trace_store is not None,
-            "segments": 0,
-            "last_flush_age_seconds": None,
-        }
+        traces = block(False)
         if self._trace_store is not None:
-            segments = self._trace_store.segment_paths()
-            traces.update(
-                {
-                    "segments": len(segments),
-                    "last_flush_age_seconds": self._flush_age(segments),
-                    "kept": self._trace_store.added,
-                    "count": len(self._trace_store),
-                }
+            traces = block(
+                True,
+                self._trace_store.log,
+                kept=self._trace_store.added,
+                count=len(self._trace_store),
             )
-        profiler: Dict[str, object] = {
-            "enabled": self._profiler is not None,
-            "segments": 0,
-            "last_flush_age_seconds": None,
-        }
+        profiler = block(False)
         if self._profiler is not None:
-            stats = self._profiler.stats()
-            segments = self._profiler.segment_paths()
-            profiler.update(
-                {
-                    "segments": len(segments),
-                    "last_flush_age_seconds": self._flush_age(segments),
-                    "running": stats["running"],
-                    "hz": stats["hz"],
-                    "window_seconds": stats["window_seconds"],
-                    "windows": stats["windows"],
-                    "pinned": stats["pinned"],
-                    "current_window": stats["current_window"],
-                }
-            )
-        ingest: Dict[str, object] = {
-            "enabled": self._ingest is not None,
-            "segments": 0,
-            "last_flush_age_seconds": None,
-        }
+            profiler = block(True, self._profiler.log, **self._profiler.stats())
+        ingest = block(self._ingest is not None)
         if self._ingest is not None:
             stats = self._ingest.stats()
             ingest.update(stats)

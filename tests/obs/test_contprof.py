@@ -9,6 +9,7 @@ import time
 import pytest
 
 from repro import obs
+from repro.obs import segmentlog
 from repro.obs.contprof import (
     MAX_STACK_DEPTH,
     PROF_SEGMENT_PREFIX,
@@ -237,16 +238,14 @@ class TestSegments:
                 now=start + i * 10.0, frames={1: frame, 2: frame}
             )
 
-    def test_rotation_and_retention(self, tmp_path):
+    def test_rotation_and_retention(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(segmentlog, "MAX_SEGMENT_BYTES", 200)
+        monkeypatch.setattr(segmentlog, "MAX_SEGMENTS", 2)
         profiler = ContinuousProfiler(
-            hz=10,
-            window_seconds=1,
-            segment_dir=tmp_path,
-            max_segment_bytes=200,
-            max_segments=2,
+            hz=10, window_seconds=1, segment_dir=tmp_path
         )
         self._fill(profiler, windows=20)
-        segments = profiler.segment_paths()
+        segments = profiler.log.paths()
         assert 1 <= len(segments) <= 2
         assert profiler.rotations > 0
         assert all(p.name.startswith(PROF_SEGMENT_PREFIX) for p in segments)
@@ -267,7 +266,7 @@ class TestSegments:
             hz=10, window_seconds=1, segment_dir=tmp_path
         )
         self._fill(profiler, windows=2)
-        (segment,) = profiler.segment_paths()
+        (segment,) = profiler.log.paths()
         with segment.open("a") as handle:
             handle.write('{"id": "pw-9999')  # torn mid-write
         assert len(load_prof_segments(tmp_path)) == 2
@@ -277,7 +276,7 @@ class TestSegments:
             hz=10, window_seconds=1, segment_dir=tmp_path
         )
         self._fill(profiler, windows=2)
-        (segment,) = profiler.segment_paths()
+        (segment,) = profiler.log.paths()
         # simulate the same segment replayed twice after a crash-restart
         (tmp_path / f"{PROF_SEGMENT_PREFIX}000007.ndjson").write_text(
             segment.read_text()

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.obs import segmentlog
 from repro.obs.tracestore import (
     DEFAULT_RING_SIZE,
     TRACE_SEGMENT_PREFIX,
@@ -187,10 +188,10 @@ class TestTraceStorePersistence:
         assert len(loaded) == 3
         assert loaded.get("req-1") == store.get("req-1")
 
-    def test_rotation_and_retention(self, tmp_path):
-        store = TraceStore(
-            segment_dir=tmp_path, max_segment_bytes=300, max_segments=3
-        )
+    def test_rotation_and_retention(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(segmentlog, "MAX_SEGMENT_BYTES", 300)
+        monkeypatch.setattr(segmentlog, "MAX_SEGMENTS", 3)
+        store = TraceStore(segment_dir=tmp_path)
         for i in range(30):
             store.add(make_record(f"req-{i:03d}"))
         segments = sorted(tmp_path.glob(f"{TRACE_SEGMENT_PREFIX}*.ndjson"))

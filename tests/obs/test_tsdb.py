@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro import obs
+from repro.obs import segmentlog
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tsdb import (
     DEFAULT_CAPACITY,
@@ -138,13 +139,13 @@ class TestTimeSeriesStore:
         assert store.latest("nope") is None
         assert store.query("nope") == []
 
-    def test_segments_rotate_and_prune(self, tmp_path):
-        store = TimeSeriesStore(
-            segment_dir=tmp_path, max_segment_bytes=200, max_segments=3
-        )
+    def test_segments_rotate_and_prune(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(segmentlog, "MAX_SEGMENT_BYTES", 200)
+        monkeypatch.setattr(segmentlog, "MAX_SEGMENTS", 3)
+        store = TimeSeriesStore(segment_dir=tmp_path)
         for i in range(50):
             store.ingest({"t": T0 + i, "series": {"c": float(i)}, "kinds": {"c": "counter"}})
-        paths = store.segment_paths()
+        paths = store.log.paths()
         assert 1 <= len(paths) <= 3
         assert store.rotations > 0
         # every surviving row parses
@@ -152,14 +153,15 @@ class TestTimeSeriesStore:
             for line in path.read_text().splitlines():
                 json.loads(line)
 
-    def test_store_resumes_segment_numbering(self, tmp_path):
-        first = TimeSeriesStore(segment_dir=tmp_path, max_segment_bytes=100)
+    def test_store_resumes_segment_numbering(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(segmentlog, "MAX_SEGMENT_BYTES", 100)
+        first = TimeSeriesStore(segment_dir=tmp_path)
         for i in range(10):
             first.ingest({"t": T0 + i, "series": {"c": float(i)}, "kinds": {}})
-        highest = first.segment_paths()[-1].name
-        second = TimeSeriesStore(segment_dir=tmp_path, max_segment_bytes=100)
+        highest = first.log.paths()[-1].name
+        second = TimeSeriesStore(segment_dir=tmp_path)
         second.ingest({"t": T0 + 60, "series": {"c": 10.0}, "kinds": {}})
-        assert second.segment_paths()[-1].name >= highest
+        assert second.log.paths()[-1].name >= highest
 
 
 class TestLoadSegments:
@@ -190,11 +192,31 @@ class TestLoadSegments:
     def test_torn_final_line_skipped(self, tmp_path):
         store = TimeSeriesStore(segment_dir=tmp_path)
         store.ingest({"t": T0, "series": {"c": 1.0}, "kinds": {"c": "counter"}})
-        path = store.segment_paths()[0]
+        path = store.log.paths()[0]
         with path.open("a") as handle:
             handle.write('{"t": 999, "series": {"c"')  # crash mid-write
         loaded = load_segments(tmp_path)
         assert loaded.latest("c") == 1.0
+
+    def test_rows_of_the_wrong_shape_skipped(self, tmp_path):
+        good = [
+            {"t": T0, "series": {"c": 1.0}, "kinds": {"c": "counter"}},
+            {"t": T0 + 1, "series": {"c": 2.0}, "kinds": {"c": "counter"}},
+        ]
+        bad = [
+            {"series": 5, "t": 101.0},
+            {"t": "soon", "series": {"c": 9.0}},
+            {"t": T0 + 2, "series": {"c": "nine"}},
+            {"t": T0 + 3, "series": {"c": 9.0}, "kinds": ["counter"]},
+            {"t": T0 + 4, "series": {"c": 9.0}, "kinds": {"c": "histogram"}},
+            {"t": T0 + 5},
+        ]
+        (tmp_path / "tsdb-000000.ndjson").write_text(
+            "".join(json.dumps(row) + "\n" for row in [good[0], *bad, good[1]])
+        )
+        loaded = load_segments(tmp_path)
+        assert loaded.samples == 2
+        assert loaded.latest("c") == 2.0
 
 
 class TestSampler:

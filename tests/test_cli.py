@@ -2,6 +2,7 @@
 
 import importlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -514,6 +515,36 @@ class TestSloCheckCli:
         )
         assert code == 0
         assert "overall: OK" in capsys.readouterr().out
+
+    def test_tsdb_directory_with_malformed_row(self, tmp_path, capsys):
+        from repro.obs.tsdb import TimeSeriesStore
+
+        segments = tmp_path / "tsdb"
+        store = TimeSeriesStore(segment_dir=segments)
+        for i in range(10):
+            store.ingest(
+                {
+                    "t": 1_000_000.0 + i * 60,
+                    "series": {
+                        "serve.requests": float((i + 1) * 60),
+                        "serve.errors": float(i * 30),
+                    },
+                    "kinds": {
+                        "serve.requests": "counter",
+                        "serve.errors": "counter",
+                    },
+                }
+            )
+        (segment,) = store.log.paths()
+        with segment.open("a") as handle:
+            handle.write(json.dumps({"series": 5, "t": 101.0}) + "\n")
+        config = Path(__file__).resolve().parents[1] / "examples" / "slo.yaml"
+        code = main(["slo", "check", str(segments), "--config", str(config)])
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        # the good rows burn half the budget of every request: they paged
+        assert code == 1
+        assert "overall: PAGE (source: tsdb)" in captured.out
 
     def test_snapshot_without_config_exits_two(self, tmp_path, capsys):
         code = main(["slo", "check", str(self._snapshot(tmp_path))])

@@ -14,7 +14,10 @@
 # `GET /profile` is non-empty after load, replays the persisted
 # prof segments offline with `repro prof`, and finally forces an SLO PAGE
 # against a strict config to check the alert's exemplar_profile_id
-# resolves to a non-empty flamegraph through `repro prof show`. CI runs
+# resolves to a non-empty flamegraph through `repro prof show`. Each
+# segment directory is seeded with a `<prefix>notes.ndjson` file that is
+# not a segment: serve must start beside it, leave it byte-unchanged and
+# replay without it. CI runs
 # this as the load-smoke job and uploads the BENCH_load.json,
 # BENCH_ingest_load.json, trace segments, prof segments, ingest
 # checkpoint and snapshot it produces; it works locally too:
@@ -49,6 +52,14 @@ rm -rf "$TRACES" "$PROF"
 echo "== build a tiny model (1 month of trace, 7 days of forest)"
 python -m repro generate --out "$DATA" --months 1
 python -m repro build --data "$DATA" --model "$MODEL" --days 7
+
+echo "== seed each segment directory with a non-segment file"
+mkdir -p "$TSDB" "$TRACES" "$PROF"
+echo '{"note": "not a segment"}' >"$TSDB/tsdb-notes.ndjson"
+echo '{"note": "not a segment"}' >"$TRACES/trace-notes.ndjson"
+echo '{"note": "not a segment"}' >"$PROF/prof-notes.ndjson"
+sha256sum "$TSDB/tsdb-notes.ndjson" "$TRACES/trace-notes.ndjson" \
+    "$PROF/prof-notes.ndjson" >"$WORK/notes.sha256"
 
 echo "== start repro serve with SLOs + tsdb + traces + profiler + ingest"
 python -m repro serve --data "$DATA" --model "$MODEL" --port 0 \
@@ -210,6 +221,9 @@ CODE=0
 wait "$SERVE_PID" || CODE=$?
 SERVE_PID=""
 [ "$CODE" -eq 0 ] || { echo "serve exited $CODE"; cat "$LOG"; exit 1; }
+
+echo "== the non-segment files are byte-unchanged"
+sha256sum --check --quiet "$WORK/notes.sha256"
 
 echo "== repro slo check replays the persisted tsdb segments"
 ls "$TSDB"/tsdb-*.ndjson >/dev/null
