@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional
 
 import numpy as np
 
@@ -160,7 +160,12 @@ class AnalysisEngine:
     # Offline construction (Fig. 2, left)
     # ------------------------------------------------------------------
     def add_day_records(self, day: int, batch: RecordBatch) -> List[AtypicalCluster]:
-        """Ingest one day of atypical records: Algorithm 1 + cube load."""
+        """Ingest one day of atypical records: Algorithm 1 + cube load.
+
+        The one day build: the streaming ingest path (:mod:`repro.ingest`)
+        closes each live day with this same call, which is why a streamed
+        day is identical to a batch-built one.
+        """
         if day in self._built_days:
             raise ValueError(f"day {day} already built")
         with obs.span("extract.day") as sp:
@@ -174,30 +179,6 @@ class AnalysisEngine:
             extra={"day": day, "records": len(batch), "clusters": len(clusters)},
         )
         return clusters
-
-    def install_day(
-        self, day: int, clusters: Sequence[AtypicalCluster], batch: RecordBatch
-    ) -> None:
-        """Install micro-clusters extracted outside the batch extractor.
-
-        The streaming ingest path (:mod:`repro.ingest`) extracts a day's
-        micro-clusters incrementally and re-mints their ids in the
-        canonical batch order; this performs the same bookkeeping as
-        :meth:`add_day_records` — forest, cube, built-days set — without
-        re-running Algorithm 1. ``clusters`` must already carry ids from
-        this engine's generator, sorted the way the batch extractor sorts
-        (``(-severity, start_window)``), and ``batch`` must hold exactly
-        the day's records so the cube cell sums match a batch build.
-        """
-        if day in self._built_days:
-            raise ValueError(f"day {day} already built")
-        self._forest.add_day(day, clusters)
-        self._cube.add_records(batch)
-        self._built_days.add(day)
-        _log.debug(
-            "day installed",
-            extra={"day": day, "records": len(batch), "clusters": len(clusters)},
-        )
 
     def build_from_catalog(
         self, catalog: DatasetCatalog, days: Optional[Iterable[int]] = None

@@ -418,12 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="stop tailing after N seconds (smoke-test bound)",
     )
     ingest.add_argument(
-        "--no-rollup",
-        action="store_true",
-        help="skip the live week/month roll-ups (day level only; queries "
-        "materialize upper levels lazily)",
-    )
-    ingest.add_argument(
         "--snapshot-format",
         choices=("pickle", "columnar"),
         default="columnar",
@@ -1006,8 +1000,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.ingest:
         from repro.ingest import IngestEngine
 
-        # shares the model cache's query lock, so day installation and
-        # roll-ups serialize against in-flight /query requests
+        # shares the model cache's query lock, so day builds serialize
+        # against in-flight /query requests
         ingest_engine = IngestEngine(
             cached.engine,
             query_lock=cached.query_lock,
@@ -1173,7 +1167,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     ingest = IngestEngine(
         engine,
         start_day=args.first_day,
-        rollup=not args.no_rollup,
         snapshot_format=args.snapshot_format,
     )
     tailer = SpoolTailer(

@@ -121,14 +121,17 @@ class AtypicalForest:
         """Store the micro-clusters extracted for ``day``.
 
         Invalidates any cached week/month materialization covering the day.
+        A day outside the calendar raises before anything is stored.
         """
         if day in self._micro_by_day:
             raise ValueError(f"day {day} already added to the forest")
+        week = self._calendar.week_of_day(day)
+        month = self._calendar.month_of_day(day)
         self._micro_by_day[day] = list(clusters)
         for cluster in clusters:
             self._register(cluster)
-        self._week_cache.pop(self._calendar.week_of_day(day), None)
-        self._month_cache.pop(self._calendar.month_of_day(day), None)
+        self._week_cache.pop(week, None)
+        self._month_cache.pop(month, None)
 
     def _register(self, cluster: AtypicalCluster) -> None:
         existing = self._registry.get(cluster.cluster_id)

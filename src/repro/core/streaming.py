@@ -33,11 +33,7 @@ from repro.spatial.grid import SensorGridIndex
 from repro.spatial.network import SensorNetwork
 from repro.temporal.windows import WindowSpec
 
-__all__ = ["OpenEvent", "OnlineEventTracker", "NO_ORDER_KEY"]
-
-#: Sentinel order key for an event that has absorbed no records yet; any
-#: real packed ``(sensor, window)`` key is smaller.
-NO_ORDER_KEY = (1 << 63) - 1
+__all__ = ["OpenEvent", "OnlineEventTracker"]
 
 
 @dataclass
@@ -55,22 +51,9 @@ class OpenEvent:
     frontier: Dict[int, int] = field(default_factory=dict)
     last_window: int = -1
     num_records: int = 0
-    order_key: int = NO_ORDER_KEY
 
-    def absorb(
-        self,
-        sensor: int,
-        window: int,
-        severity: float,
-        tf_key: int,
-        order_key: Optional[int] = None,
-    ) -> None:
-        """Fold one record into the running feature maps.
-
-        ``order_key`` is the record's packed canonical-order key (see
-        :attr:`OnlineEventTracker.order_keys`); the event keeps the
-        minimum over all absorbed records.
-        """
+    def absorb(self, sensor: int, window: int, severity: float, tf_key: int) -> None:
+        """Fold one record into the running feature maps."""
         self.spatial[sensor] = self.spatial.get(sensor, 0.0) + severity
         self.temporal[tf_key] = self.temporal.get(tf_key, 0.0) + severity
         current = self.frontier.get(sensor)
@@ -78,8 +61,6 @@ class OpenEvent:
             self.frontier[sensor] = window
         if window > self.last_window:
             self.last_window = window
-        if order_key is not None and order_key < self.order_key:
-            self.order_key = order_key
         self.num_records += 1
 
     def merge_from(self, other: "OpenEvent") -> None:
@@ -92,7 +73,6 @@ class OpenEvent:
             if self.frontier.get(sensor, -1) < window:
                 self.frontier[sensor] = window
         self.last_window = max(self.last_window, other.last_window)
-        self.order_key = min(self.order_key, other.order_key)
         self.num_records += other.num_records
 
     def prune_frontier(self, horizon: int) -> None:
@@ -134,7 +114,6 @@ class OnlineEventTracker:
         self._next_event_id = 0
         self._last_window_seen = -1
         self._closed_clusters: List[AtypicalCluster] = []
-        self._order_keys: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -187,26 +166,6 @@ class OnlineEventTracker:
         """All micro-clusters emitted so far (closed + flushed)."""
         return list(self._closed_clusters)
 
-    @property
-    def order_keys(self) -> Dict[int, int]:
-        """Canonical batch-extraction order key per closed cluster id.
-
-        The key is the minimum packed ``(sensor_id << 32) | window`` over
-        the cluster's records (``(window << 32) | sensor_id`` in the
-        degenerate no-temporal-join regime), exactly the ordering
-        :func:`repro.core.events.extract_micro_clusters_ordered` reports
-        for the batch extractor. Sorting a day's closed clusters by this
-        key reproduces the batch id-assignment order, which is what lets
-        a streaming ingest re-mint ids that match a batch build
-        byte-for-byte.
-        """
-        return dict(self._order_keys)
-
-    def _pack_key(self, sensor: int, window: int) -> int:
-        if self._max_gap < 0:
-            return (window << 32) | sensor
-        return (sensor << 32) | window
-
     # ------------------------------------------------------------------
     def _ingest(self, sensor: int, window: int, severity: float, tf_key: int) -> None:
         touched: Set[int] = set()
@@ -236,7 +195,7 @@ class OnlineEventTracker:
                 event.merge_from(other)
                 for s in other.frontier:
                     self._frontier_owner[s] = event.event_id
-        event.absorb(sensor, window, severity, tf_key, self._pack_key(sensor, window))
+        event.absorb(sensor, window, severity, tf_key)
         self._frontier_owner[sensor] = event.event_id
 
     def _close_stale(self, window: int) -> List[AtypicalCluster]:
@@ -261,10 +220,8 @@ class OnlineEventTracker:
     def _to_cluster(self, event: OpenEvent) -> AtypicalCluster:
         # the open-event accumulators already hold positive per-key sums,
         # so the array-backed features can skip the per-item coercion loop
-        cluster = AtypicalCluster.micro(
+        return AtypicalCluster.micro(
             SpatialFeature.from_aggregates(event.spatial),
             TemporalFeature.from_aggregates(event.temporal),
             self._ids,
         )
-        self._order_keys[cluster.cluster_id] = event.order_key
-        return cluster

@@ -1,16 +1,16 @@
 """Streaming ingest: the live, continuously-updating atypical forest.
 
-The paper's features are algebraic (Property 2) and the day→week→month
-merge is commutative and associative (Property 3), so the forest need not
-be a batch artifact: this package maintains the day level incrementally
-as events arrive and keeps the upper levels rolled up, while preserving
-byte-for-byte parity with a batch build of the same records.
+The forest need not be a batch artifact: this package grows the day
+level as events arrive, closing each day with the batch build's own day
+step, so a streamed day is byte-identical to a batch-built one by
+construction. Weeks and months are integrated on demand, as the paper's
+partially materialized forest prescribes (Sec. IV).
 
 * :mod:`repro.ingest.contract` — the frozen ``(sensor, window,
   severity)`` event contract and its NDJSON/JSON wire forms;
 * :mod:`repro.ingest.engine` — :class:`IngestEngine`, the watermarked
-  streaming extractor with day installation, live roll-ups, staleness
-  accounting and atomic snapshots;
+  day buffer with day builds, staleness accounting and atomic
+  snapshots;
 * :mod:`repro.ingest.spool` — :class:`SpoolTailer`, the durable
   file-based ingest path behind ``repro ingest`` (rename-into-place
   spool protocol, crash-safe checkpoints).

@@ -3,30 +3,18 @@
 :class:`IngestEngine` turns an :class:`~repro.analysis.engine.AnalysisEngine`
 into a continuously-updating model. Events arrive in batches of validated
 ``(sensor, window, severity)`` rows (see :mod:`repro.ingest.contract`);
-micro-clusters are extracted online by the
-:class:`~repro.core.streaming.OnlineEventTracker`, one tracker per open
-day, and each day is installed into the forest the moment the event
-watermark crosses into the next day.
+the open day's rows are buffered, and the moment the event watermark
+crosses into the next day (or on :meth:`IngestEngine.flush`) the day is
+built by :meth:`~repro.analysis.engine.AnalysisEngine.add_day_records` —
+the batch build's own day step — over those rows in the catalog's
+sensor-major order.
 
 The central invariant — pinned by ``tests/ingest`` — is **batch
-parity**: after a day closes
-(or :meth:`flush`), the engine's forest, cube and built-day set are
-byte-identical to a batch build over the same records. Three mechanisms
-carry it:
-
-* *canonical window feed* — rows buffer per window and are pushed to the
-  tracker sorted by sensor only when the watermark advances, reproducing
-  the batch extractor's ``sorted_by_window`` accumulation order exactly;
-* *order-key re-minting* — at day close the tracker's closed clusters are
-  re-minted with the engine's shared id generator in ascending
-  :attr:`~repro.core.streaming.OnlineEventTracker.order_keys` order (the
-  batch component order), then sorted ``(-severity, start_window)`` like
-  Algorithm 1's output;
-* *high id-space roll-ups* — live week/month macro-clusters are
-  integrated with a private generator starting at ``2**48`` and installed
-  into the forest's caches, so serving stays fresh without perturbing the
-  micro id sequence a batch build would assign. Snapshots strip these
-  caches (see :meth:`snapshot`).
+parity**: after a day closes, the engine's forest, cube and built-day
+set are byte-identical to a batch build over the same records. It holds
+by construction, because both paths run the same function on the same
+records. Only the day level is built; weeks and months are integrated on
+demand by the forest, as in the paper's partially materialized design.
 
 Freshness is *day-granular*: an accepted event becomes queryable when its
 day closes, and :meth:`staleness_seconds` (exported as the
@@ -49,21 +37,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-from repro.core.cluster import AtypicalCluster, ClusterIdGenerator
+from repro.core.cluster import ClusterIdGenerator
 from repro.core.forest import AtypicalForest
 from repro.core.records import RecordBatch
-from repro.core.streaming import OnlineEventTracker
 from repro.obs.metrics import LATENCY_BUCKETS
 
-__all__ = ["IngestEngine", "IngestOverload", "IngestResult", "MACRO_ID_BASE"]
+__all__ = ["IngestEngine", "IngestOverload", "IngestResult"]
 
 _log_name = "repro.ingest"
-
-#: First id the live roll-up generator mints. Micro ids are dense small
-#: integers assigned by the shared engine generator; keeping live macros
-#: in a disjoint high id-space means roll-ups can never collide with —
-#: or shift — the micro ids a batch build would assign.
-MACRO_ID_BASE = 1 << 48
 
 
 class IngestOverload(RuntimeError):
@@ -105,12 +86,11 @@ class IngestEngine:
     """Streaming ingest over one analysis engine (see module docstring).
 
     ``query_lock`` must be the same lock the serving layer holds around
-    ``engine.query`` calls; day installation and snapshotting take it so
-    queries never observe a half-installed day. ``start_day`` anchors the
-    first open day when the engine holds no built days yet (an engine
-    resumed from a snapshot opens at its last built day + 1). ``rollup``
-    keeps the week/month levels of every closed day's calendar periods
-    materialized for ``use_materialized`` queries and the dashboard.
+    ``engine.query`` calls; the day build and snapshotting take it so
+    queries never observe a half-built day (and because extraction mints
+    cluster ids from the generator queries share). ``start_day`` anchors
+    the first open day when the engine holds no built days yet (an engine
+    resumed from a snapshot opens at its last built day + 1).
     """
 
     def __init__(
@@ -118,7 +98,6 @@ class IngestEngine:
         engine,
         *,
         start_day: int = 0,
-        rollup: bool = True,
         query_lock: Optional[threading.Lock] = None,
         max_batch_rows: int = 50_000,
         max_waiters: int = 8,
@@ -128,28 +107,21 @@ class IngestEngine:
         self._engine = engine
         self._spec = engine.window_spec
         self._calendar = engine.calendar
-        self._rollup = rollup
         self._query_lock = query_lock if query_lock is not None else threading.Lock()
         self._max_batch_rows = max_batch_rows
         self._max_waiters = max_waiters
         self._snapshot_format = snapshot_format
         self._snapshot_keep = max(1, snapshot_keep)
-        params = engine.config.extraction_params()
-        self._distance_miles = params.distance_miles
-        self._time_gap_minutes = params.time_gap_minutes
         self._valid_sensors = frozenset(
             sensor.sensor_id for sensor in engine.network
         )
         self._max_window = (
             self._calendar.num_days * self._spec.windows_per_day - 1
         )
-        self._macro_ids = ClusterIdGenerator(start=MACRO_ID_BASE)
 
         built = engine.built_days
         self._day = max(built) + 1 if built else start_day
-        self._tracker = self._new_tracker()
         self._open_window = -1
-        self._pending: List[Tuple[int, int, float]] = []
         self._day_rows: List[Tuple[int, int, float]] = []
 
         self._lock = threading.Lock()
@@ -175,7 +147,7 @@ class IngestEngine:
 
     @property
     def days_closed(self) -> int:
-        """Days installed into the forest by this engine instance."""
+        """Days built into the forest by this engine instance."""
         return self._days_closed
 
     @property
@@ -189,13 +161,13 @@ class IngestEngine:
         return Counter(self._rejected_total)
 
     def pending_rows(self) -> int:
-        """Accepted rows not yet queryable (open window + open tracker)."""
-        return len(self._pending) + len(self._day_rows)
+        """Accepted rows not yet queryable (the open day's buffer)."""
+        return len(self._day_rows)
 
     def staleness_seconds(self) -> float:
         """Age of the oldest accepted, not-yet-queryable event (seconds).
 
-        Zero when every accepted event has been installed. Also refreshes
+        Zero when every accepted event is in a built day. Also refreshes
         the ``ingest.staleness_seconds`` gauge so scrapes that go through
         :meth:`stats` (``/healthz``, the dashboard) see a live value.
         """
@@ -213,9 +185,8 @@ class IngestEngine:
 
         Rows are processed in order; a row whose window precedes the open
         window (or whose day is already built) is rejected — the stream
-        contract is a monotone watermark, matching the tracker's
-        window-ordered push. ``flush=True`` closes the open day after the
-        batch (operator drain; see :meth:`flush`).
+        contract is a monotone watermark. ``flush=True`` closes the open
+        day after the batch (operator drain; see :meth:`flush`).
 
         Raises :class:`IngestOverload` — before applying anything — when
         the batch exceeds ``max_batch_rows`` or too many submitters are
@@ -260,12 +231,9 @@ class IngestEngine:
             day = self._spec.day_of_window(window)
             if day > self._day:
                 self._advance_to_day(day, result)
-            if self._open_window == -1:
+            if window > self._open_window:
                 self._open_window = window
-            elif window > self._open_window:
-                self._seal_window()
-                self._open_window = window
-            self._pending.append((sensor, window, severity))
+            self._day_rows.append((sensor, window, severity))
             if self._staleness_anchor is None:
                 self._staleness_anchor = time.monotonic()
             result.accepted += 1
@@ -320,25 +288,25 @@ class IngestEngine:
 
     # ------------------------------------------------------------------
     def flush(self) -> List[int]:
-        """Close the open day now (even mid-day) and install it.
+        """Close the open day now (even mid-day) and build it.
 
         The operator's drain switch: after a flush every accepted event is
         queryable and :meth:`staleness_seconds` is zero. The open day is
-        installed even when it received no events (it is provably
-        eventless as far as the stream is concerned), matching a batch
-        build over the same catalog range. Returns the closed day ids.
+        built even when it received no events (it is provably eventless
+        as far as the stream is concerned), matching a batch build over
+        the same catalog range. Returns the closed day ids — empty when
+        every calendar day is already built, so there is no day to close.
         """
         with self._lock:
             return self.flush_locked()
 
     def flush_locked(self) -> List[int]:
         """:meth:`flush` body for callers already holding the ingest lock."""
+        if self._day >= self._calendar.num_days:
+            return []
         closed_day = self._day
         self._close_day()
-        self._day = closed_day + 1
-        self._tracker = self._new_tracker()
-        self._open_window = -1
-        self._staleness_anchor = None
+        self._open_next(closed_day + 1)
         return [closed_day]
 
     def _advance_to_day(self, new_day: int, result: IngestResult) -> None:
@@ -346,53 +314,27 @@ class IngestEngine:
         self._close_day()
         result.closed_days.append(self._day)
         for gap_day in range(self._day + 1, new_day):
-            self._install_day(gap_day, [], RecordBatch.empty())
+            self._build_day(gap_day, RecordBatch.empty())
             result.closed_days.append(gap_day)
-        self._day = new_day
-        self._tracker = self._new_tracker()
+        self._open_next(new_day)
+
+    def _open_next(self, day: int) -> None:
+        self._day = day
         self._open_window = -1
         self._staleness_anchor = None
 
-    def _seal_window(self) -> None:
-        """Push the open window's rows to the tracker in canonical order."""
-        if not self._pending:
-            return
-        self._pending.sort(key=lambda row: row[0])
-        batch = _rows_to_batch(self._pending)
-        self._tracker.push_window(self._open_window, batch)
-        self._day_rows.extend(self._pending)
-        self._pending = []
-
     def _close_day(self) -> None:
-        """Seal, flush the tracker, re-mint in batch order, and install."""
-        self._seal_window()
-        self._tracker.flush()
-        closed = self._tracker.closed_clusters
-        order_keys = self._tracker.order_keys
-        ids = self._engine.forest.ids
-        minted = [
-            AtypicalCluster.micro(c.spatial, c.temporal, ids)
-            for c in sorted(closed, key=lambda c: order_keys[c.cluster_id])
-        ]
-        minted.sort(key=lambda c: (-c.severity(), c.start_window()))
-        # the cube accumulates in the catalog's sensor-major record order,
-        # so a flushed snapshot's cube.bin is byte-identical to a batch
-        # build's (float accumulation order and all)
+        """Build the open day from its buffered rows."""
+        # the catalog's sensor-major record order: extraction and the
+        # cube's float accumulation then see exactly what a batch build
+        # over the same records sees
         self._day_rows.sort(key=lambda row: (row[0], row[1]))
-        batch = _rows_to_batch(self._day_rows)
-        self._install_day(self._day, minted, batch)
+        self._build_day(self._day, _rows_to_batch(self._day_rows))
         self._day_rows = []
 
-    def _install_day(
-        self,
-        day: int,
-        clusters: Sequence[AtypicalCluster],
-        batch: RecordBatch,
-    ) -> None:
+    def _build_day(self, day: int, batch: RecordBatch) -> None:
         with self._query_lock:
-            self._engine.install_day(day, clusters, batch)
-            if self._rollup:
-                self._rollup_day(day)
+            clusters = self._engine.add_day_records(day, batch)
         self._days_closed += 1
         if obs.enabled():
             obs.counter("ingest.days.closed").inc()
@@ -400,52 +342,6 @@ class IngestEngine:
         obs.get_logger(_log_name).info(
             "day closed",
             extra={"day": day, "clusters": len(clusters), "records": len(batch)},
-        )
-
-    def _rollup_day(self, day: int) -> None:
-        """Re-materialize the closed day's week and month levels.
-
-        ``add_day`` just invalidated both caches; integrating with the
-        private high id-space generator and installing the results keeps
-        ``use_materialized`` queries and the dashboard fresh without
-        consuming ids from the shared micro sequence.
-        """
-        forest = self._engine.forest
-        calendar = self._calendar
-        built = self._engine.built_days
-        week = calendar.week_of_day(day)
-        micro = [
-            cluster
-            for d in calendar.week_day_range(week)
-            if d in built
-            for cluster in forest.day_clusters(d)
-        ]
-        result = forest.integrator.integrate(
-            micro, self._macro_ids, forest.similarity_cache
-        )
-        forest.install_week(week, result.clusters, list(result.created.values()))
-        month = calendar.month_of_day(day)
-        inputs: List[AtypicalCluster] = []
-        for w in sorted(
-            {calendar.week_of_day(d) for d in calendar.month_day_range(month) if d in built}
-        ):
-            inputs.extend(forest.week_clusters(w))
-        result = forest.integrator.integrate(
-            inputs, self._macro_ids, forest.similarity_cache
-        )
-        forest.install_month(month, result.clusters, list(result.created.values()))
-
-    # ------------------------------------------------------------------
-    def _new_tracker(self) -> OnlineEventTracker:
-        # a private scratch id generator per day: tracker ids are assigned
-        # in close order, thrown away when the day's clusters are re-minted
-        # in canonical batch order at install time
-        return OnlineEventTracker(
-            self._engine.network,
-            distance_miles=self._distance_miles,
-            time_gap_minutes=self._time_gap_minutes,
-            window_spec=self._spec,
-            ids=ClusterIdGenerator(),
         )
 
     # ------------------------------------------------------------------
@@ -458,10 +354,12 @@ class IngestEngine:
         so a concurrent ``repro query --model <directory>/current`` or
         ``repro serve`` always opens a complete, consistent model.
 
-        The snapshot forest contains only day-level micro-clusters — the
-        live week/month roll-ups (high id-space) are stripped — which is
-        what makes the files byte-identical to ``repro build`` over the
-        same records. Returns the published version directory.
+        The snapshot forest contains only day-level micro-clusters — any
+        week/month levels the engine holds (a base model built with
+        ``--materialize`` carries them, and queries integrate more on
+        demand) are left out — which is what makes the files
+        byte-identical to ``repro build`` over the same records. Returns
+        the published version directory.
         """
         from repro.storage.forest_io import save_cube, save_forest
 
@@ -558,7 +456,6 @@ class IngestEngine:
             "rejections": dict(sorted(self._rejected_total.items())),
             "pending_rows": self.pending_rows(),
             "staleness_seconds": round(self.staleness_seconds(), 3),
-            "rollup": self._rollup,
             "snapshots": self._snapshots_written,
             "last_snapshot": self._last_snapshot,
         }

@@ -38,6 +38,17 @@ class TestAddAndRetrieve:
         with pytest.raises(ValueError):
             forest.add_day(0, [])
 
+    def test_day_beyond_calendar_rejected_before_storing(self):
+        forest = AtypicalForest(small_calendar())
+        forest.add_day(0, [])
+        num_days = forest.calendar.num_days
+        with pytest.raises(ValueError, match="out of range"):
+            forest.add_day(num_days, [])
+        assert forest.days == [0]
+        # the rejected day left nothing behind that would block a retry
+        with pytest.raises(ValueError, match="out of range"):
+            forest.add_day(num_days, [])
+
     def test_missing_day_is_empty(self):
         forest = AtypicalForest(small_calendar())
         assert forest.day_clusters(5) == []

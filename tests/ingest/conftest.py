@@ -2,7 +2,7 @@
 
 Everything runs against the small simulation profile from the root
 conftest; ``live_ingest`` wraps a fresh (no built days) analysis engine,
-so each test controls the open day and the roll-up state from scratch.
+so each test controls the open day and the built days from scratch.
 """
 
 from __future__ import annotations

@@ -1,14 +1,16 @@
-"""Tests for the live ingest engine: admission, day close, roll-ups,
-staleness, overload, and snapshots."""
+"""Tests for the live ingest engine: admission, day close, the lazy
+week/month levels over live days, staleness, overload, and snapshots."""
 
 from __future__ import annotations
 
+import json
 import threading
 
 import pytest
 
 from repro.analysis.engine import AnalysisEngine, EngineConfig
-from repro.ingest.engine import MACRO_ID_BASE, IngestEngine, IngestOverload
+from repro.ingest.engine import IngestEngine, IngestOverload
+from repro.serve import ServeApp
 
 
 def sensors_of(engine):
@@ -129,9 +131,6 @@ class TestRollups:
         month = forest.month_clusters(cal.month_of_day(0))
         assert len(week) == 1
         assert len(month) == 1
-        # merged live macros mint in the high id-space so a later batch
-        # build's micro ids can never collide with them
-        assert week[0].cluster_id >= MACRO_ID_BASE
         assert week[0].severity() == pytest.approx(10.0)
 
     def test_week_boundary_starts_a_new_tree(self, live_engine):
@@ -149,8 +148,8 @@ class TestRollups:
         assert len(forest.week_clusters(0)) == 1
         assert len(forest.week_clusters(1)) == 1
 
-    def test_rollup_disabled_leaves_caches_empty(self, live_engine):
-        ingest = IngestEngine(live_engine, rollup=False)
+    def test_day_close_leaves_week_and_month_caches_empty(self, live_engine):
+        ingest = IngestEngine(live_engine)
         sensor = sensors_of(live_engine)[0]
         ingest.add_events([(sensor, 0, 5.0)])
         ingest.flush()
@@ -158,6 +157,37 @@ class TestRollups:
         assert live_engine.forest.stats().num_week_macro == 0
         assert live_engine.forest.stats().num_month_macro == 0
         assert cal.week_of_day(0) == 0
+
+
+class TestCalendarEnd:
+    def test_flush_after_last_day_is_a_noop(self, small_sim):
+        engine = AnalysisEngine.from_simulator(small_sim, EngineConfig())
+        last = engine.calendar.num_days - 1
+        ingest = IngestEngine(engine, start_day=last)
+        assert ingest.flush() == [last]
+        assert ingest.open_day == last + 1
+        days = engine.forest.days
+        assert ingest.flush() == []
+        assert ingest.flush() == []
+        assert engine.forest.days == days
+        assert engine.built_days == {last}
+        assert ingest.open_day == last + 1
+
+    def test_flush_query_param_after_last_day_answers_200(self, small_sim):
+        engine = AnalysisEngine.from_simulator(small_sim, EngineConfig())
+        last = engine.calendar.num_days - 1
+        app = ServeApp(engine, ingest_engine=IngestEngine(engine, start_day=last))
+        status, _, payload, _ = app.dispatch("POST", "/ingest", {"flush": "1"}, b"")
+        assert status == 200
+        assert json.loads(payload)["closed_days"] == [last]
+        days = engine.forest.days
+        for _ in range(2):
+            status, _, payload, _ = app.dispatch(
+                "POST", "/ingest", {"flush": "1"}, b""
+            )
+            assert status == 200
+            assert json.loads(payload)["closed_days"] == []
+        assert engine.forest.days == days
 
 
 class TestOverload:

@@ -10,6 +10,8 @@ equality; the ``ingest_backfill`` workload of ``bench/`` re-checks
 from __future__ import annotations
 
 import hashlib
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.engine import AnalysisEngine, EngineConfig
+from repro.core.records import RecordBatch
 from repro.ingest.engine import IngestEngine
+from repro.storage.forest_io import save_cube
 
 from .conftest import day_rows
 
@@ -29,6 +33,13 @@ def _file_digests(model_dir):
         name: hashlib.sha256((model_dir / name).read_bytes()).hexdigest()
         for name in ("forest.bin", "cube.bin", "engine.json")
     }
+
+
+def _cube_digest(engine):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cube.bin"
+        save_cube(engine.cube, path)
+        return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _forest_signature(engine):
@@ -98,16 +109,23 @@ class TestChunkingInvariance:
             max_size=60,
         ),
         cut=st.integers(0, 59),
+        shuffler=st.randoms(use_true_random=False),
     )
-    def test_any_chunking_matches_one_shot(self, small_sim, records, cut):
+    def test_any_chunking_matches_one_shot(
+        self, small_sim, records, cut, shuffler
+    ):
         sensors = sorted(s.sensor_id for s in small_sim.network)
-        rows = [
+        generated = [
             (sensors[s % len(sensors)], w, round(sev, 3))
             for s, w, sev in records
         ]
         # the watermark contract only requires window-monotone arrival;
         # within-window order is free and must not matter
-        rows.sort(key=lambda r: r[1])
+        rows = []
+        for window in sorted({r[1] for r in generated}):
+            in_window = [r for r in generated if r[1] == window]
+            shuffler.shuffle(in_window)
+            rows.extend(in_window)
 
         def build(chunks):
             engine = AnalysisEngine.from_simulator(small_sim, EngineConfig())
@@ -122,6 +140,27 @@ class TestChunkingInvariance:
         one_shot = build([rows])
         chunked = build([rows[:split], rows[split:]])
         assert _forest_signature(one_shot) == _forest_signature(chunked)
+
+        # streamed == batch: a fresh engine's day build over the same
+        # rows, handed over in the catalog's sensor-major record order
+        batch = AnalysisEngine.from_simulator(small_sim, EngineConfig())
+        spec = batch.window_spec
+        last_day = spec.day_of_window(rows[-1][1])
+        for day in range(last_day + 1):
+            day_rows = sorted(
+                (r for r in rows if spec.day_of_window(r[1]) == day),
+                key=lambda r: (r[0], r[1]),
+            )
+            batch.add_day_records(
+                day,
+                RecordBatch(
+                    [r[0] for r in day_rows],
+                    [r[1] for r in day_rows],
+                    [r[2] for r in day_rows],
+                ),
+            )
+        assert _forest_signature(one_shot) == _forest_signature(batch)
+        assert _cube_digest(one_shot) == _cube_digest(batch)
 
     def test_per_window_feed_matches_one_shot(self, small_sim):
         sensors = sorted(s.sensor_id for s in small_sim.network)
