@@ -1,29 +1,21 @@
-"""Online monitoring and next-day forecasting.
+"""Online monitoring: streaming extraction.
 
 Run with::
 
     python examples/online_monitoring.py
 
-Two extensions built on the cluster model:
-
-1. **Streaming extraction** — the control room receives readings window by
-   window; :class:`OnlineEventTracker` maintains open events incrementally
-   and emits each micro-cluster the moment the event ends (quiet for
-   ``delta_t``), producing exactly the batch extractor's clusters without
-   ever holding a full day of records.
-2. **Recurrence prediction** (the paper's stated future work) — learn the
-   recurring congestion patterns from two weeks of history and forecast
-   the following days, scoring the forecasts against what actually
-   happened.
+The control room receives readings window by window;
+:class:`OnlineEventTracker` maintains open events incrementally and emits
+each micro-cluster the moment the event ends (quiet for ``delta_t``),
+producing exactly the batch extractor's clusters without ever holding a
+full day of records.
 """
 
 import numpy as np
 
-from repro import AnalysisEngine, SimulationConfig, TrafficSimulator
-from repro.analysis.prediction import RecurrencePredictor
+from repro import SimulationConfig, TrafficSimulator
 from repro.core.records import RecordBatch
 from repro.core.streaming import OnlineEventTracker
-from repro.temporal.windows import WindowSpec
 
 
 def stream_one_day(sim: TrafficSimulator, day: int) -> None:
@@ -60,39 +52,6 @@ def main() -> None:
 
     print("=== Streaming extraction, day 2 (events >= 100 min shown live) ===")
     stream_one_day(sim, 2)
-
-    print("\n=== Learning recurring patterns from days 0-13 ===")
-    engine = AnalysisEngine.from_simulator(sim)
-    engine.build_from_simulator(sim, days=range(21))
-    predictor = RecurrencePredictor(
-        engine.forest, min_support_days=5, min_daily_severity=300.0
-    )
-    patterns = predictor.fit(range(14))
-    spec = WindowSpec()
-    for pattern in patterns[:5]:
-        minute = spec.minute_of_day(pattern.start_window)
-        print(
-            f"  pattern {pattern.pattern_id}: ~{pattern.mean_severity:.0f} min/day "
-            f"around {minute // 60:02d}:{minute % 60:02d}, "
-            f"P(weekday)={pattern.weekday_probability:.2f}, "
-            f"P(weekend)={pattern.weekend_probability:.2f}"
-        )
-
-    print("\n=== Forecasting days 14-20 and scoring against reality ===")
-    total_hits = total_misses = total_false = 0
-    for day in range(14, 21):
-        score = predictor.score(day, min_probability=0.5)
-        label = "weekend" if sim.calendar.is_weekend(day) else "weekday"
-        print(
-            f"  day {day} ({label}): hits={score.hits} "
-            f"misses={score.misses} false alarms={score.false_alarms}"
-        )
-        total_hits += score.hits
-        total_misses += score.misses
-        total_false += score.false_alarms
-    recall = total_hits / max(total_hits + total_misses, 1)
-    precision = total_hits / max(total_hits + total_false, 1)
-    print(f"\nweek-ahead forecast: recall {recall:.2f}, precision {precision:.2f}")
 
 
 if __name__ == "__main__":

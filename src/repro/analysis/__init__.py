@@ -1,14 +1,7 @@
 """User-facing analysis API: engine, reports and strategy evaluation."""
 
-from repro.analysis.dimensions import IncidentDimension, IncidentMatch, match_incidents
 from repro.analysis.engine import AnalysisEngine, EngineConfig
 from repro.analysis.evaluation import StrategyScore, ground_truth, score_strategy
-from repro.analysis.prediction import (
-    PredictedEvent,
-    PredictionScore,
-    RecurrencePredictor,
-    RecurringPattern,
-)
 from repro.analysis.report import (
     ClusterReport,
     CongestionReport,
@@ -18,15 +11,8 @@ from repro.analysis.report import (
 )
 
 __all__ = [
-    "IncidentDimension",
-    "IncidentMatch",
-    "match_incidents",
     "AnalysisEngine",
     "EngineConfig",
-    "PredictedEvent",
-    "PredictionScore",
-    "RecurrencePredictor",
-    "RecurringPattern",
     "StrategyScore",
     "ground_truth",
     "score_strategy",

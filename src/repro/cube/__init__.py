@@ -1,4 +1,8 @@
-"""Bottom-up cube substrate: measures, severity cube and CubeView baselines."""
+"""Bottom-up cube substrate: severity cube and CubeView baselines.
+
+:mod:`repro.cube.sensorcube` (the R-tree region-aggregation ablation) is
+not re-exported; import it by module path.
+"""
 
 from repro.cube.cubeview import (
     ConstructionReport,
@@ -8,19 +12,6 @@ from repro.cube.cubeview import (
     preprocess,
 )
 from repro.cube.datacube import SeverityCube
-from repro.cube.sensorcube import RTreeSeverityProvider, SensorDayCube
-from repro.cube.measures import (
-    AlgebraicMeasure,
-    AverageMeasure,
-    CountMeasure,
-    DistributiveMeasure,
-    HolisticMeasure,
-    MaxMeasure,
-    Measure,
-    MedianMeasure,
-    MinMeasure,
-    SumMeasure,
-)
 
 __all__ = [
     "ConstructionReport",
@@ -29,16 +20,4 @@ __all__ = [
     "build_cube_oc",
     "preprocess",
     "SeverityCube",
-    "RTreeSeverityProvider",
-    "SensorDayCube",
-    "AlgebraicMeasure",
-    "AverageMeasure",
-    "CountMeasure",
-    "DistributiveMeasure",
-    "HolisticMeasure",
-    "MaxMeasure",
-    "Measure",
-    "MedianMeasure",
-    "MinMeasure",
-    "SumMeasure",
 ]

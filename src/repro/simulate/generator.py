@@ -455,9 +455,8 @@ class TrafficSimulator:
     def simulate_day_detail(self, day: int) -> tuple[np.ndarray, List[IncidentReport]]:
         """The day's congestion matrix plus its incident ground truth.
 
-        The incident log is the "accident report" context dimension of
-        Sec. V-D; :mod:`repro.analysis.dimensions` joins it with clusters
-        by time and location.
+        The incident log is the ground truth behind the "accident report"
+        context dimension of Sec. V-D.
         """
         rng = self.day_rng(day)
         weather = self._weather.day(day).state

@@ -1,10 +1,13 @@
-"""Spatial substrate: geometry, road network, regions and indexes."""
+"""Spatial substrate: geometry, road network, regions and the sensor grid.
+
+:mod:`repro.spatial.rtree` (read only by the R-tree ablation) is not
+re-exported; import it by module path.
+"""
 
 from repro.spatial.geometry import BBox, Point, distance, polyline_length, walk_polyline
 from repro.spatial.grid import SensorGridIndex
 from repro.spatial.network import Highway, Sensor, SensorNetwork, deploy_sensors
 from repro.spatial.regions import District, DistrictGrid, QueryRegion
-from repro.spatial.rtree import RTree, RTreeNode
 
 __all__ = [
     "BBox",
@@ -20,6 +23,4 @@ __all__ = [
     "DistrictGrid",
     "QueryRegion",
     "SensorGridIndex",
-    "RTree",
-    "RTreeNode",
 ]

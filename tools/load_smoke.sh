@@ -24,6 +24,10 @@
 #
 #   tools/load_smoke.sh [out-dir]
 set -euo pipefail
+# No check pipes into `grep -q`: it exits at the first match, the producer
+# then dies of EPIPE and pipefail fails the step. A pipe ends in
+# `grep PATTERN >/dev/null`, which reads all of its input; captured output
+# is matched with `grep -q PATTERN <<<"$VAR"`.
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 OUT_DIR="${1:-$ROOT}"
@@ -154,7 +158,7 @@ assert doc["top"], doc
 print("   " + str(doc["total"]) + " thread samples, hottest: "
       + doc["top"][0]["frame"])
 '
-curl -fsS "$BASE/profile?format=collapsed" | grep -q ";" \
+curl -fsS "$BASE/profile?format=collapsed" | grep ";" >/dev/null \
     || { echo "collapsed export is empty"; exit 1; }
 curl -fsS "$BASE/profile?format=speedscope" | python -c '
 import json, sys
@@ -194,16 +198,16 @@ echo "   kept traces include $TRACE_ID"
 
 echo "== repro trace show resolves the live-captured id"
 python -m repro trace show "$TRACE_ID" --trace-dir "$TRACES" \
-    | grep -q "trace $TRACE_ID" || { echo "trace show failed"; exit 1; }
+    | grep "trace $TRACE_ID" >/dev/null || { echo "trace show failed"; exit 1; }
 
 echo "== repro slo check (live) gates green"
 python -m repro slo check "$BASE"
 
 echo "== repro top renders the alerts, ingest, and hottest-frames panels"
 TOP_OUT="$(python -m repro top --url "$BASE/metrics" --iterations 1 --no-clear)"
-echo "$TOP_OUT" | grep -q "alerts (SLO)" || { echo "missing alerts panel"; exit 1; }
-echo "$TOP_OUT" | grep -q "live ingest" || { echo "missing ingest panel"; exit 1; }
-echo "$TOP_OUT" | grep -q "hottest frames" || { echo "missing profile panel"; exit 1; }
+grep -q "alerts (SLO)" <<<"$TOP_OUT" || { echo "missing alerts panel"; exit 1; }
+grep -q "live ingest" <<<"$TOP_OUT" || { echo "missing ingest panel"; exit 1; }
+grep -q "hottest frames" <<<"$TOP_OUT" || { echo "missing profile panel"; exit 1; }
 
 echo "== misuse exits 2 with one error line"
 set +e
@@ -232,13 +236,13 @@ python -m repro slo check "$TSDB" --config "$ROOT/examples/slo.yaml"
 echo "== repro trace ls replays the persisted trace segments offline"
 ls "$TRACES"/trace-*.ndjson >/dev/null
 python -m repro trace ls --trace-dir "$TRACES" \
-    | grep -q "$TRACE_ID" || { echo "persisted trace missing"; exit 1; }
+    | grep "$TRACE_ID" >/dev/null || { echo "persisted trace missing"; exit 1; }
 
 echo "== repro prof replays the persisted profile segments offline"
 ls "$PROF"/prof-*.ndjson >/dev/null
-python -m repro prof ls --prof-dir "$PROF" | grep -q "pw-" \
+python -m repro prof ls --prof-dir "$PROF" | grep "pw-" >/dev/null \
     || { echo "no persisted profile windows"; exit 1; }
-python -m repro prof show --prof-dir "$PROF" | grep -q ";" \
+python -m repro prof show --prof-dir "$PROF" | grep ";" >/dev/null \
     || { echo "offline merged flamegraph is empty"; exit 1; }
 
 echo "== a forced SLO PAGE carries a resolvable profile exemplar"
@@ -288,11 +292,11 @@ SERVE_PID=""
 
 echo "== repro prof show resolves the exemplar to a non-empty flamegraph"
 SHOW_OUT="$(python -m repro prof show "$EXEMPLAR" --prof-dir "$PROF2")"
-echo "$SHOW_OUT" | grep -q "profile window $EXEMPLAR" \
+grep -q "profile window $EXEMPLAR" <<<"$SHOW_OUT" \
     || { echo "exemplar window missing offline"; exit 1; }
-echo "$SHOW_OUT" | grep -q "\[pinned\]" \
+grep -q "\[pinned\]" <<<"$SHOW_OUT" \
     || { echo "exemplar window not pinned"; exit 1; }
-echo "$SHOW_OUT" | grep -q ";" \
+grep -q ";" <<<"$SHOW_OUT" \
     || { echo "exemplar flamegraph is empty"; exit 1; }
 echo "   exemplar $EXEMPLAR resolves offline"
 
@@ -332,7 +336,7 @@ echo "== the spooled day is queryable from the new snapshot"
 QUERY_OUT="$(python -m repro query --data "$DATA" --model "$SNAPS/current" \
     --first-day 8 --days 1)"
 echo "   $QUERY_OUT"
-echo "$QUERY_OUT" | grep -Eq "via gui: [1-9][0-9]* inputs" \
+grep -Eq "via gui: [1-9][0-9]* inputs" <<<"$QUERY_OUT" \
     || { echo "spooled day not queryable"; exit 1; }
 
 echo "== export ingest artifacts (checkpoint + snapshot) for CI upload"

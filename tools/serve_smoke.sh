@@ -6,6 +6,10 @@
 #
 #   tools/serve_smoke.sh
 set -euo pipefail
+# No check pipes into `grep -q`: it exits at the first match, the producer
+# then dies of EPIPE and pipefail fails the step. A pipe ends in
+# `grep PATTERN >/dev/null`, which reads all of its input; captured output
+# is matched with `grep -q PATTERN <<<"$VAR"`.
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 WORK="$(mktemp -d)"
@@ -69,7 +73,7 @@ echo "$METRICS" | grep -E '^repro_serve_requests_total [1-9]' >/dev/null || {
 
 echo "== repro top renders one frame from the live endpoint"
 python -m repro top --url "$BASE/metrics" --iterations 1 --no-clear \
-    | grep -q "repro top" || { echo "repro top produced no frame"; exit 1; }
+    | grep "repro top" >/dev/null || { echo "repro top produced no frame"; exit 1; }
 
 echo "== SIGTERM drains and exits 0"
 kill -TERM "$SERVE_PID"
