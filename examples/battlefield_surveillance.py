@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.analysis.engine import AnalysisEngine, EngineConfig
 from repro.core.records import RecordBatch
-from repro.spatial.geometry import Point
+from repro.spatial.geometry import Point, polyline_length
 from repro.spatial.network import Highway, Sensor, SensorNetwork
 from repro.spatial.regions import DistrictGrid
 from repro.temporal.hierarchy import Calendar
@@ -40,7 +40,7 @@ def perimeter_network() -> SensorNetwork:
     sid = 0
     for line in lines:
         start, end = line.points
-        length = start.distance_to(end)
+        length = polyline_length(line.points)
         count = int(length) + 1
         for k in range(count):
             frac = k / max(count - 1, 1)

@@ -12,14 +12,11 @@ resident behind an HTTP query endpoint (``/query``, ``/healthz``,
 ``/metrics``, ``/traces``, plus ``POST /ingest`` with ``--ingest`` — see
 :mod:`repro.serve`), ``ingest`` to tail a spool directory of NDJSON
 events into a live forest with crash-safe checkpoints and atomic
-snapshots (see :mod:`repro.ingest`), ``top`` for a live terminal
-dashboard over a running server's ``/metrics``, ``trace`` to inspect
-request traces persisted by ``serve --trace-dir``
-(:mod:`repro.obs.tracestore`), and ``prof`` to inspect the continuous
-profiler's collapsed-stack windows persisted by ``serve --prof-dir``
-(:mod:`repro.obs.contprof`). The trace directory carries the
-simulation config, so every later step rebuilds the same sensor network
-and district partition from it.
+snapshots (see :mod:`repro.ingest`), ``slo check`` to evaluate declared
+SLOs, and ``trace`` to inspect request traces persisted by ``serve
+--trace-dir`` (:mod:`repro.obs.tracestore`). The data directory written
+by ``generate`` carries the simulation config, so every later step
+rebuilds the same sensor network and district partition from it.
 
 Every subcommand accepts ``--log-level`` (structured key=value logging to
 stderr), ``--metrics-out PATH`` (enable the observability layer for the
@@ -321,28 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="admission control: batches queued behind the ingest lock "
         "before shedding with HTTP 429",
     )
-    serve.add_argument(
-        "--prof",
-        action="store_true",
-        help="enable the continuous wall-clock profiler: GET /profile "
-        "serves the current collapsed-stack window, SLO alerts pin "
-        "profile exemplars (repro.obs.contprof)",
-    )
-    serve.add_argument(
-        "--prof-dir",
-        type=Path,
-        default=None,
-        help="persist finished profile windows here as rotating NDJSON "
-        "segments readable by `repro prof` (default: in-memory only; "
-        "requires --prof)",
-    )
-    serve.add_argument(
-        "--prof-hz",
-        type=float,
-        default=67.0,
-        help="profiler sampling rate in Hz (default: 67, co-prime with "
-        "common loop periods)",
-    )
     # access logs are the point of a server; default them on
     serve.set_defaults(log_level="info")
     _add_engine_arguments(serve)
@@ -427,110 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.set_defaults(log_level="info")
     _add_engine_arguments(ingest)
 
-    top = commands.add_parser(
-        "top",
-        parents=[common],
-        help="live terminal dashboard over a repro serve /metrics endpoint",
-    )
-    top.add_argument(
-        "--url",
-        default="http://127.0.0.1:8321/metrics",
-        help="metrics endpoint to poll (default: the repro serve default)",
-    )
-    top.add_argument(
-        "--interval", type=float, default=2.0, help="seconds between scrapes"
-    )
-    top.add_argument(
-        "--iterations",
-        type=int,
-        default=None,
-        help="render N frames then exit (default: run until Ctrl-C)",
-    )
-    top.add_argument(
-        "--no-clear",
-        action="store_true",
-        help="append frames instead of clearing the screen (for logs/tests)",
-    )
-
-    loadgen = commands.add_parser(
-        "loadgen",
-        parents=[common],
-        help="drive POST /query load (closed or open loop) against a "
-        "running repro serve and report latency percentiles",
-    )
-    loadgen.add_argument(
-        "url",
-        nargs="?",
-        default="http://127.0.0.1:8321",
-        help="server base URL (default: the repro serve default)",
-    )
-    loadgen.add_argument(
-        "--mode",
-        choices=("closed", "open", "ingest"),
-        default="closed",
-        help="closed: N workers back-to-back (capacity probe); open: fixed "
-        "arrival rate, latency from scheduled arrival (the rps gate); "
-        "ingest: sequential POST /ingest event batches from a stored "
-        "trace (needs --data and a server started with --ingest)",
-    )
-    loadgen.add_argument(
-        "--rate",
-        type=float,
-        default=None,
-        help="open mode: target arrivals per second",
-    )
-    loadgen.add_argument(
-        "--duration", type=float, default=10.0, help="run length in seconds"
-    )
-    loadgen.add_argument(
-        "--concurrency", type=int, default=4, help="worker threads"
-    )
-    loadgen.add_argument(
-        "--timeout", type=float, default=30.0, help="per-request timeout"
-    )
-    loadgen.add_argument(
-        "--limit",
-        type=int,
-        default=None,
-        help="clusters per /query response (smaller = cheaper responses)",
-    )
-    loadgen.add_argument(
-        "--out",
-        type=Path,
-        default=Path("BENCH_load.json"),
-        help="where to write the JSON report",
-    )
-    loadgen.add_argument(
-        "--data",
-        type=Path,
-        default=None,
-        help="ingest mode: trace directory supplying the event stream",
-    )
-    loadgen.add_argument(
-        "--days",
-        type=int,
-        default=1,
-        help="ingest mode: stream the first N days of the trace",
-    )
-    loadgen.add_argument(
-        "--first-day",
-        type=int,
-        default=0,
-        help="ingest mode: first trace day to stream",
-    )
-    loadgen.add_argument(
-        "--batch-windows",
-        type=int,
-        default=12,
-        help="ingest mode: time windows per POST /ingest batch",
-    )
-    loadgen.add_argument(
-        "--no-flush",
-        action="store_true",
-        help="ingest mode: leave the final day open instead of closing it "
-        "with ?flush=1",
-    )
-
     slo = commands.add_parser(
         "slo",
         parents=[common],
@@ -610,80 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=Path,
         default=None,
         help="output path (default: trace_<request_id>.json)",
-    )
-
-    prof = commands.add_parser(
-        "prof",
-        parents=[common],
-        help="inspect continuous-profiler windows persisted by "
-        "repro serve --prof-dir",
-    )
-    prof_commands = prof.add_subparsers(dest="prof_command", required=True)
-    prof_dir_help = "profile segment directory (repro serve --prof-dir)"
-    prof_ls = prof_commands.add_parser(
-        "ls", help="list persisted profile windows, newest last"
-    )
-    prof_ls.add_argument("--prof-dir", type=Path, required=True, help=prof_dir_help)
-    prof_ls.add_argument(
-        "--limit", type=int, default=20, help="windows to list (default: 20)"
-    )
-    prof_show = prof_commands.add_parser(
-        "show",
-        help="render one window (or all windows merged) as hottest frames "
-        "plus collapsed flamegraph stacks",
-    )
-    prof_show.add_argument(
-        "window_id",
-        nargs="?",
-        default=None,
-        help="window id (e.g. from an SLO alert's exemplar_profile_id; "
-        "default: every persisted window merged)",
-    )
-    prof_show.add_argument(
-        "--prof-dir", type=Path, required=True, help=prof_dir_help
-    )
-    prof_show.add_argument(
-        "--top", type=int, default=10, help="hottest frames to list"
-    )
-    prof_diff = prof_commands.add_parser(
-        "diff",
-        help="per-frame self-share delta between two windows "
-        "(what got hotter between before and after)",
-    )
-    prof_diff.add_argument("before", help="window id of the baseline")
-    prof_diff.add_argument("after", help="window id to compare against it")
-    prof_diff.add_argument(
-        "--prof-dir", type=Path, required=True, help=prof_dir_help
-    )
-    prof_diff.add_argument(
-        "--limit", type=int, default=15, help="frame rows to print"
-    )
-    prof_export = prof_commands.add_parser(
-        "export",
-        help="export one window (or all merged) as collapsed stacks "
-        "(flamegraph.pl) or speedscope JSON",
-    )
-    prof_export.add_argument(
-        "window_id",
-        nargs="?",
-        default=None,
-        help="window id (default: every persisted window merged)",
-    )
-    prof_export.add_argument(
-        "--prof-dir", type=Path, required=True, help=prof_dir_help
-    )
-    prof_export.add_argument(
-        "--format",
-        choices=("collapsed", "speedscope"),
-        default="collapsed",
-        dest="export_format",
-        help="output format (default: collapsed)",
-    )
-    prof_export.add_argument(
-        "--out",
-        type=Path,
-        default=None,
-        help="output path (default: stdout)",
     )
 
     stats = commands.add_parser(
@@ -931,7 +728,6 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    from repro.obs.contprof import ContinuousProfiler
     from repro.obs.slo import SLOEngine, SLOError, load_slo_config
     from repro.obs.tracestore import TailSampler, TraceStore
     from repro.obs.tsdb import Sampler, TimeSeriesStore
@@ -954,12 +750,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         return 2
     if args.ingest_max_waiters < 0:
         print("error: --ingest-max-waiters must be >= 0", file=sys.stderr)
-        return 2
-    if args.prof_dir is not None and not args.prof:
-        print("error: --prof-dir requires --prof", file=sys.stderr)
-        return 2
-    if args.prof_hz <= 0:
-        print("error: --prof-hz must be positive", file=sys.stderr)
         return 2
     slo_config = None
     if args.slo is not None:
@@ -986,13 +776,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         latency_threshold=args.trace_threshold,
         head_rate=args.trace_head_sample,
     )
-    profiler = (
-        ContinuousProfiler(hz=args.prof_hz, segment_dir=args.prof_dir)
-        if args.prof
-        else None
-    )
     slo_engine = (
-        SLOEngine(slo_config, store, trace_store=trace_store, profiler=profiler)
+        SLOEngine(slo_config, store, trace_store=trace_store)
         if slo_config is not None
         else None
     )
@@ -1019,7 +804,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         tail_sampler=tail_sampler,
         ingest_engine=ingest_engine,
         ingest_snapshot_dir=args.ingest_snapshot_dir,
-        profiler=profiler,
         tsdb_sampler=sampler,
     )
     server = QueryServer(app, host=args.host, port=args.port)
@@ -1051,17 +835,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
             f"ingest: POST /ingest live (open day {ingest_engine.open_day}, "
             f"batches <= {args.ingest_max_batch} rows; {snapshots})"
         )
-    if profiler is not None:
-        prof_sink = args.prof_dir if args.prof_dir is not None else "memory ring"
-        print(
-            f"profiling: continuous wall-clock sampler at {args.prof_hz:g} Hz, "
-            f"{profiler.window_seconds:g}s windows into {prof_sink}; "
-            "GET /profile"
-        )
     sys.stdout.flush()
     sampler.start()
-    if profiler is not None:
-        profiler.start()
     # blocks until a signal triggers server.stop(); in-flight requests
     # finish before serve_forever returns (block_on_close)
     try:
@@ -1069,72 +844,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     finally:
         # final flush sample puts the shutdown edge on disk
         sampler.stop()
-        if profiler is not None:
-            profiler.stop()
         trace_store.sync()
     print("drained, bye")
-    return 0
-
-
-def cmd_loadgen(args: argparse.Namespace) -> int:
-    from repro.loadgen import (
-        LoadGenError,
-        format_ingest_report,
-        format_report,
-        run_ingest_load,
-        run_load,
-        write_report,
-    )
-
-    if args.mode == "ingest":
-        if args.data is None:
-            print("error: ingest mode needs --data <trace dir>", file=sys.stderr)
-            return 2
-        try:
-            ingest_report = run_ingest_load(
-                args.url,
-                args.data,
-                days=args.days,
-                first_day=args.first_day,
-                windows_per_batch=args.batch_windows,
-                timeout=args.timeout,
-                flush=not args.no_flush,
-            )
-        except LoadGenError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        try:
-            write_report(ingest_report, args.out)
-        except OSError as exc:
-            print(
-                f"error: cannot write report to {args.out}: {exc}",
-                file=sys.stderr,
-            )
-            return 2
-        print(format_ingest_report(ingest_report))
-        print(f"report written to {args.out}")
-        return 0
-
-    try:
-        report = run_load(
-            args.url,
-            mode=args.mode,
-            duration=args.duration,
-            concurrency=args.concurrency,
-            rate=args.rate,
-            timeout=args.timeout,
-            limit=args.limit,
-        )
-    except LoadGenError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        write_report(report, args.out)
-    except OSError as exc:
-        print(f"error: cannot write report to {args.out}: {exc}", file=sys.stderr)
-        return 2
-    print(format_report(report))
-    print(f"report written to {args.out}")
     return 0
 
 
@@ -1358,113 +1069,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_prof(args: argparse.Namespace) -> int:
-    from repro.obs.contprof import (
-        collapse_text,
-        diff_frames,
-        format_frame_delta,
-        load_prof_segments,
-        merge_windows,
-        speedscope_doc,
-    )
-
-    try:
-        windows = load_prof_segments(args.prof_dir)
-    except (FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    def resolve(window_id):
-        """One window by id, or every persisted window merged."""
-        if window_id is None:
-            return merge_windows(windows, window_id="merged")
-        for window in windows:
-            if window.id == window_id:
-                return window
-        print(
-            f"error: no profile window {window_id!r} in {args.prof_dir} "
-            "(try `repro prof ls`)",
-            file=sys.stderr,
-        )
-        return None
-
-    if args.prof_command == "ls":
-        if args.limit < 1:
-            print("error: --limit must be at least 1", file=sys.stderr)
-            return 2
-        print(
-            f"{'start':>12}  {'seconds':>7}  {'samples':>7}  "
-            f"{'threads':>7}  {'stacks':>6}  window_id"
-        )
-        for window in windows[-args.limit:]:
-            pinned = "  [pinned]" if window.pinned else ""
-            print(
-                f"{window.start:>12.1f}  {window.end - window.start:>7.1f}  "
-                f"{window.samples:>7}  {len(window.threads):>7}  "
-                f"{len(window.stacks):>6}  {window.id}{pinned}"
-            )
-        return 0
-    if args.prof_command == "diff":
-        before = resolve(args.before)
-        after = resolve(args.after)
-        if before is None or after is None:
-            return 2
-        print(f"profile diff {before.id} -> {after.id}")
-        print(format_frame_delta(diff_frames(before, after), limit=args.limit))
-        return 0
-    window = resolve(args.window_id)
-    if window is None:
-        return 2
-    if args.prof_command == "show":
-        if args.top < 1:
-            print("error: --top must be at least 1", file=sys.stderr)
-            return 2
-        pinned = " [pinned]" if window.pinned else ""
-        print(
-            f"profile window {window.id}{pinned}: {window.samples} samples, "
-            f"{window.total()} thread samples "
-            f"({window.running()} running), {len(window.stacks)} stacks"
-        )
-        print("\nhottest frames (self samples):")
-        for row in window.top_frames(args.top):
-            print(
-                f"  {row['total']:>7}  ({row['running']} run / "
-                f"{row['waiting']} wait)  {row['frame']}"
-            )
-        print("\ncollapsed stacks (flamegraph.pl):")
-        print(collapse_text(window), end="")
-        return 0
-    # export
-    if args.export_format == "speedscope":
-        rendered = json.dumps(speedscope_doc(window), indent=2) + "\n"
-    else:
-        rendered = collapse_text(window)
-    if args.out is None:
-        print(rendered, end="")
-        return 0
-    args.out.parent.mkdir(parents=True, exist_ok=True)
-    args.out.write_text(rendered)
-    print(f"{args.export_format} profile written to {args.out}")
-    return 0
-
-
-def cmd_top(args: argparse.Namespace) -> int:
-    from repro.serve import run_top
-
-    if args.interval <= 0:
-        print("error: --interval must be positive", file=sys.stderr)
-        return 2
-    if args.iterations is not None and args.iterations < 1:
-        print("error: --iterations must be at least 1", file=sys.stderr)
-        return 2
-    return run_top(
-        args.url,
-        interval=args.interval,
-        iterations=args.iterations,
-        clear=not args.no_clear,
-    )
-
-
 def cmd_stats(args: argparse.Namespace) -> int:
     try:
         snapshot = obs.load_snapshot(args.path)
@@ -1497,12 +1101,9 @@ _COMMANDS = {
     "info": cmd_info,
     "serve": cmd_serve,
     "ingest": cmd_ingest,
-    "top": cmd_top,
     "stats": cmd_stats,
-    "loadgen": cmd_loadgen,
     "slo": cmd_slo,
     "trace": cmd_trace,
-    "prof": cmd_prof,
 }
 
 

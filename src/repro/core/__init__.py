@@ -9,8 +9,8 @@ from repro.core.events import (
 )
 from repro.core.features import SeverityFeature, SpatialFeature, TemporalFeature
 from repro.core.forest import AtypicalForest, ForestStats
-from repro.core.integration import ClusterIntegrator, IntegrationResult, integrate
-from repro.core.merge import merge_clusters, merge_many
+from repro.core.integration import ClusterIntegrator, IntegrationResult
+from repro.core.merge import merge_clusters
 from repro.core.query import (
     STRATEGIES,
     AnalyticalQuery,
@@ -46,9 +46,7 @@ __all__ = [
     "ForestStats",
     "ClusterIntegrator",
     "IntegrationResult",
-    "integrate",
     "merge_clusters",
-    "merge_many",
     "STRATEGIES",
     "AnalyticalQuery",
     "QueryProcessor",

@@ -117,10 +117,6 @@ class AtypicalCluster:
         """First atypical window — 'when does the event start' (Example 1)."""
         return self.temporal.min_key()
 
-    def end_window(self) -> int:
-        """Last time-of-day window touched by the cluster (max temporal key)."""
-        return self.temporal.max_key()
-
     def most_serious_sensor(self) -> Tuple[int, float]:
         """Sensor with the highest aggregated severity (Example 4)."""
         return self.spatial.argmax()

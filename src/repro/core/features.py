@@ -268,7 +268,7 @@ class SeverityFeature:
 
     @classmethod
     def merge_all(cls, features: Iterable["SeverityFeature"]) -> "SeverityFeature":
-        """K-way Eq. 5/6 merge in one kernel call (used by ``merge_many``)."""
+        """K-way Eq. 5/6 merge in one kernel call."""
         feature_list = list(features)
         if not feature_list:
             return cls()

@@ -54,7 +54,6 @@ __all__ = [
     "IntegrationResult",
     "SimilarityCache",
     "ClusterIntegrator",
-    "integrate",
 ]
 
 
@@ -627,17 +626,3 @@ class ClusterIntegrator:
             created=created,
             rounds=rounds,
         )
-
-
-def integrate(
-    clusters: Iterable[AtypicalCluster],
-    threshold: float = 0.5,
-    similarity: ClusterSimilarity | str = "avg",
-    method: str = "indexed",
-    ids: Optional[ClusterIdGenerator] = None,
-    cache: Optional[SimilarityCache] = None,
-) -> IntegrationResult:
-    """Functional wrapper around :class:`ClusterIntegrator` (Algorithm 3)."""
-    return ClusterIntegrator(threshold, similarity, method).integrate(
-        clusters, ids, cache
-    )

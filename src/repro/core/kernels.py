@@ -42,7 +42,6 @@ __all__ = [
     "batch_overlap_pair",
     "pack_csr",
     "pairwise_overlap_matrix",
-    "sorted_intersects",
 ]
 
 # Shifts the second key universe of the fused kernel into a disjoint range.
@@ -50,17 +49,6 @@ __all__ = [
 # by the serializer), so they sit far below 2^62 and the shift cannot
 # collide or overflow int64.
 _FUSE_OFFSET = np.int64(1) << 62
-
-
-def sorted_intersects(a_keys: np.ndarray, b_keys: np.ndarray) -> bool:
-    """True when two sorted key arrays share at least one key."""
-    if a_keys.size == 0 or b_keys.size == 0:
-        return False
-    if a_keys.size > b_keys.size:
-        a_keys, b_keys = b_keys, a_keys
-    pos = np.searchsorted(b_keys, a_keys)
-    np.minimum(pos, b_keys.size - 1, out=pos)
-    return bool(np.any(b_keys[pos] == a_keys))
 
 
 def batch_overlap(

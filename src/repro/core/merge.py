@@ -8,11 +8,11 @@ integration result independent of merge order at the feature level.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.core.cluster import AtypicalCluster, ClusterIdGenerator
 
-__all__ = ["merge_clusters", "merge_many"]
+__all__ = ["merge_clusters"]
 
 
 def merge_clusters(
@@ -35,37 +35,4 @@ def merge_clusters(
         temporal=a.temporal.merge(b.temporal),
         level=max(a.level, b.level) + 1,
         members=(a.cluster_id, b.cluster_id),
-    )
-
-
-def merge_many(
-    clusters: Iterable[AtypicalCluster],
-    ids: Optional[ClusterIdGenerator] = None,
-) -> AtypicalCluster:
-    """Fold a non-empty collection of clusters into one macro-cluster.
-
-    Associativity (Property 3) guarantees the resulting features do not
-    depend on the fold order; the provenance lists every input id.
-    """
-    cluster_list = list(clusters)
-    if not cluster_list:
-        raise ValueError("merge_many needs at least one cluster")
-    if len(cluster_list) == 1:
-        return cluster_list[0]
-    generator = ids if ids is not None else ClusterIdGenerator(
-        max(c.cluster_id for c in cluster_list) + 1
-    )
-    # one k-way segment-sum kernel instead of k-1 pairwise merges
-    spatial = type(cluster_list[0].spatial).merge_all(
-        c.spatial for c in cluster_list
-    )
-    temporal = type(cluster_list[0].temporal).merge_all(
-        c.temporal for c in cluster_list
-    )
-    return AtypicalCluster(
-        cluster_id=generator.next_id(),
-        spatial=spatial,
-        temporal=temporal,
-        level=max(c.level for c in cluster_list) + 1,
-        members=tuple(c.cluster_id for c in cluster_list),
     )

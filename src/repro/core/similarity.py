@@ -243,11 +243,6 @@ class ClusterSimilarity:
         """The scalar balance function ``g`` of Eq. 3-4."""
         return self._g
 
-    @property
-    def g_vector(self) -> VectorBalanceFn:
-        """Vectorized form of ``g`` used by the similarity kernels."""
-        return self._g_vec
-
     def spatial(self, a: AtypicalCluster, b: AtypicalCluster) -> float:
         """Spatial similarity ``simS(a, b)`` (Eq. 3)."""
         return spatial_similarity(a, b, self._g)

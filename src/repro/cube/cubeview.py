@@ -52,9 +52,6 @@ class PreprocessResult:
     days: List[int]
     report: ConstructionReport
 
-    def all_records(self) -> RecordBatch:
-        return RecordBatch.concat(self.batches)
-
 
 def preprocess(
     datasets: Sequence[CPSDataset],

@@ -65,10 +65,6 @@ class SensorDayCube:
         np.add.at(self._cells, (batch.sensor_ids, days), batch.severities)
         self._records_added += len(batch)
 
-    def sensor_severity(self, sensor_id: int, days: Sequence[int]) -> float:
-        idx = np.asarray(list(days), dtype=np.int64)
-        return float(self._cells[sensor_id, idx].sum())
-
     def day_weights(self, days: Sequence[int]) -> Dict[int, float]:
         """Per-sensor totals over ``days`` (weights for the R-tree)."""
         idx = np.asarray(list(days), dtype=np.int64)

@@ -185,8 +185,8 @@ def parse_body(data: bytes, content_type: str = "") -> Tuple[List[Row], Counter]
 def render_ndjson(rows: Iterable[Row]) -> bytes:
     """Encode rows as contract-conformant NDJSON (producer side).
 
-    The inverse of :func:`parse_ndjson`; used by the load generator's
-    event mode and the tests. Severities are emitted through ``repr`` so
+    The inverse of :func:`parse_ndjson`; used by the spool writer, the
+    load smoke and the tests. Severities are emitted through ``repr`` so
     a parse round-trip preserves the exact float.
     """
     lines = [

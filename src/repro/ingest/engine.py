@@ -169,7 +169,7 @@ class IngestEngine:
 
         Zero when every accepted event is in a built day. Also refreshes
         the ``ingest.staleness_seconds`` gauge so scrapes that go through
-        :meth:`stats` (``/healthz``, the dashboard) see a live value.
+        :meth:`stats` (``/healthz``) see a live value.
         """
         anchor = self._staleness_anchor
         staleness = 0.0 if anchor is None else max(0.0, time.monotonic() - anchor)
@@ -445,7 +445,7 @@ class IngestEngine:
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, object]:
-        """Operational snapshot for ``/healthz`` and the dashboard."""
+        """Operational snapshot for the ``/healthz`` ingest block."""
         return {
             "open_day": self._day,
             "open_window": self._open_window if self._open_window != -1 else None,

@@ -35,7 +35,7 @@ import os
 import time
 from collections import Counter
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Optional, Set, Tuple
 
 from repro import obs
 from repro.ingest.contract import parse_ndjson, render_ndjson
@@ -158,18 +158,9 @@ class SpoolTailer:
 
     # ------------------------------------------------------------------
     @property
-    def files_processed(self) -> int:
-        """Spool files applied during this run (excludes checkpointed skips)."""
-        return self._files_processed
-
-    @property
     def rejected_totals(self) -> Counter:
         """Per-reason rejection counts accumulated by this tailer (a copy)."""
         return Counter(self._rejected)
-
-    def pending_files(self) -> List[str]:
-        """Files applied but not yet covered by a checkpoint, sorted."""
-        return sorted(self._applied)
 
     # ------------------------------------------------------------------
     def scan_once(self) -> int:

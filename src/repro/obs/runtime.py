@@ -4,7 +4,7 @@ Observability is **off by default**: every accessor below then returns a
 shared null object whose methods are no-ops, so instrumentation in hot
 paths costs one module-global check and nothing else — no registry
 entries, no allocations. The CLI (``--metrics-out``) or a caller flips it
-on with :func:`enable` / :func:`activate`.
+on with :func:`activate`.
 
 Instrumented code does::
 
@@ -38,8 +38,6 @@ from repro.obs.metrics import (
 
 __all__ = [
     "enabled",
-    "enable",
-    "disable",
     "registry",
     "set_registry",
     "activate",
@@ -106,18 +104,6 @@ _correlation: contextvars.ContextVar[Optional[str]] = contextvars.ContextVar(
 def enabled() -> bool:
     """True when instrumentation should record into the registry."""
     return _enabled
-
-
-def enable() -> None:
-    """Turn the observability fast path on (accessors become live)."""
-    global _enabled
-    _enabled = True
-
-
-def disable() -> None:
-    """Turn observability off; accessors return null objects."""
-    global _enabled
-    _enabled = False
 
 
 def registry() -> MetricsRegistry:

@@ -1,8 +1,7 @@
 """Append-only NDJSON segment logs: the one on-disk format of ``repro.obs``.
 
-The tsdb sampler (:mod:`repro.obs.tsdb`), the trace store
-(:mod:`repro.obs.tracestore`) and the continuous profiler
-(:mod:`repro.obs.contprof`) persist one JSON object per line into a
+The tsdb sampler (:mod:`repro.obs.tsdb`) and the trace store
+(:mod:`repro.obs.tracestore`) persist one JSON object per line into a
 directory of numbered segment files. This module is the only code that
 knows that format:
 

@@ -193,19 +193,14 @@ class SLOStatus:
     ``exemplar_trace_ids`` names stored request traces that demonstrate
     the burn (slow requests for latency SLOs, errored requests for
     availability/error-rate SLOs) — the ids resolve through
-    ``repro trace show`` against the serve process's trace store.
-    ``exemplar_profile_id`` names the continuous-profiler window pinned
-    at the moment the SLO transitioned into WARN/PAGE — it resolves
-    through ``repro prof show`` (live or offline), so every page links to
-    a flamegraph of what the process was doing when the burn started.
-    Both are only populated while the SLO is alerting.
+    ``repro trace show`` against the serve process's trace store. They
+    are only populated while the SLO is alerting.
     """
 
     slo: SLO
     state: str
     windows: List[WindowStatus] = field(default_factory=list)
     exemplar_trace_ids: List[str] = field(default_factory=list)
-    exemplar_profile_id: Optional[str] = None
 
     def to_dict(self) -> Dict[str, object]:
         """Plain-dict form for the ``/slo`` JSON document."""
@@ -219,7 +214,6 @@ class SLOStatus:
             "state": self.state,
             "windows": [w.to_dict() for w in self.windows],
             "exemplar_trace_ids": list(self.exemplar_trace_ids),
-            "exemplar_profile_id": self.exemplar_profile_id,
         }
 
 
@@ -541,13 +535,6 @@ class SLOEngine:
     optional: when wired, alerting SLO statuses carry exemplar trace ids
     pulled from the kept traces — slow requests for latency SLOs,
     errored requests otherwise — linking the alert to root-cause traces.
-
-    ``profiler`` (a :class:`~repro.obs.contprof.ContinuousProfiler`) is
-    likewise optional: on an SLO's OK→WARN/PAGE transition the engine
-    pins the profiler window covering the transition and attaches its id
-    to the status for as long as the alert holds, so the page carries a
-    flamegraph of the onset, not of whenever someone got around to
-    looking.
     """
 
     def __init__(
@@ -555,13 +542,10 @@ class SLOEngine:
         config: SLOConfig,
         store: TimeSeriesStore,
         trace_store: Optional[object] = None,
-        profiler: Optional[object] = None,
     ):
         self._config = config
         self._store = store
         self._trace_store = trace_store
-        self._profiler = profiler
-        self._profile_exemplars: Dict[str, str] = {}
 
     @property
     def config(self) -> SLOConfig:
@@ -665,28 +649,6 @@ class SLOEngine:
                 break
         return ids
 
-    def _profile_exemplar_for(self, slo: SLO, state: str) -> Optional[str]:
-        """Pin/recall the profiler window tied to this SLO's alert onset.
-
-        The pin happens exactly on the OK→alerting transition (the first
-        evaluation that sees WARN/PAGE); the same id is then returned on
-        every evaluation until the SLO recovers, at which point it is
-        forgotten so the next incident pins a fresh window.
-        """
-        if state == "OK":
-            self._profile_exemplars.pop(slo.name, None)
-            return None
-        exemplar = self._profile_exemplars.get(slo.name)
-        if exemplar is not None:
-            return exemplar
-        profiler = self._profiler
-        if profiler is None:
-            return None
-        pinned = profiler.pin_current()
-        if pinned is not None:
-            self._profile_exemplars[slo.name] = pinned
-        return pinned
-
     def evaluate(self, now: Optional[float] = None) -> SLOReport:
         """Evaluate every SLO's window pairs; returns the full report."""
         now = time.time() if now is None else now
@@ -700,14 +662,12 @@ class SLOEngine:
                 [w.alert_state for w in windows if w.triggered] or ["OK"]
             )
             exemplars = self._exemplars_for(slo) if state != "OK" else []
-            profile_exemplar = self._profile_exemplar_for(slo, state)
             statuses.append(
                 SLOStatus(
                     slo=slo,
                     state=state,
                     windows=windows,
                     exemplar_trace_ids=exemplars,
-                    exemplar_profile_id=profile_exemplar,
                 )
             )
         return SLOReport(statuses=statuses, now=now, source="tsdb")
@@ -838,9 +798,6 @@ def check_doc(doc: Mapping[str, object]) -> Tuple[int, List[str]]:
         exemplars = entry.get("exemplar_trace_ids") or []
         if exemplars:
             line += f" exemplars: {','.join(str(e) for e in exemplars)}"
-        profile_id = entry.get("exemplar_profile_id")
-        if profile_id:
-            line += f" profile: {profile_id}"
         lines.append(line)
     overall = str(doc["state"])
     if overall not in STATES:

@@ -173,7 +173,7 @@ class TraceStore:
     under the ring lock, so disk order equals ring order and replay's
     newest-wins rule matches the live ring. The ring keeps the last
     ``ring_size`` traces (newest wins on duplicate request ids) for
-    ``GET /traces``, the dashboard panel, and SLO exemplar lookup. All
+    ``GET /traces`` and SLO exemplar lookup. All
     methods are thread-safe — requests finish on server worker threads.
     """
 

@@ -2,7 +2,7 @@
 
 ``/metrics`` and ``--metrics-out`` expose *instantaneous* registry state;
 anything that needs history — the SLO burn-rate windows of
-:mod:`repro.obs.slo`, the ``repro top`` dashboard after a restart, a
+:mod:`repro.obs.slo`, ``repro slo check`` against a segment directory, a
 post-mortem of last night's latency spike — needs the registry *sampled
 over time*. This module provides exactly that, mirroring the paper's
 day → week → month hierarchy at telemetry scale:

@@ -1,4 +1,4 @@
-"""The long-running query service: HTTP daemon, telemetry, dashboard.
+"""The long-running query service: HTTP daemon and request telemetry.
 
 ``repro serve`` loads a built model once and answers analytical queries
 over HTTP (see :mod:`repro.serve.handlers` for the endpoints), with
@@ -6,9 +6,9 @@ RED-style request telemetry — correlation ids, request/error counters,
 sliding-window rates, latency histograms, per-stage query costs — wired
 through the shared :mod:`repro.obs` registry, plus always-on
 tail-sampled request tracing into a persistent
-:class:`~repro.obs.tracestore.TraceStore`. ``repro top``
-(:mod:`repro.serve.dashboard`) renders a live terminal view from the
-``/metrics`` scrape, including the slowest kept traces.
+:class:`~repro.obs.tracestore.TraceStore`. Operators read the server
+through ``/metrics``, ``/healthz``, ``/slo`` and ``/traces``, and
+resolve a persisted trace offline with ``repro trace show``.
 
 Layering: :mod:`~repro.serve.context` (per-request accounting) →
 :mod:`~repro.serve.handlers` (endpoint logic, socket-free) →
@@ -21,20 +21,6 @@ from repro.serve.context import (
     RequestContext,
     new_request_id,
     sanitize_request_id,
-)
-from repro.serve.dashboard import (
-    DashboardState,
-    DashboardView,
-    counter_delta,
-    delta_histogram,
-    fetch_slo,
-    fetch_traces,
-    histogram_quantile,
-    render,
-    run_top,
-    scrape,
-    slo_url_for,
-    traces_url_for,
 )
 from repro.serve.handlers import JSON_TYPE, METRICS_TYPE, Response, ServeApp
 from repro.serve.server import QueryServer, build_handler, install_signal_handlers
@@ -51,16 +37,4 @@ __all__ = [
     "QueryServer",
     "build_handler",
     "install_signal_handlers",
-    "DashboardState",
-    "DashboardView",
-    "histogram_quantile",
-    "delta_histogram",
-    "counter_delta",
-    "render",
-    "run_top",
-    "scrape",
-    "fetch_slo",
-    "slo_url_for",
-    "fetch_traces",
-    "traces_url_for",
 ]

@@ -28,13 +28,6 @@ sight. Endpoints:
 * ``GET /traces`` — summaries of the tail-sampled request traces kept
   in the trace store (slowest or most recent first), when tracing is
   wired; 404 otherwise. See :mod:`repro.obs.tracestore`.
-* ``GET /profile`` — the continuous profiler's current-window summary
-  (hottest frames, retained windows, pinned exemplars), when the server
-  was started with ``--prof``; 404 otherwise.
-  ``?format=collapsed`` renders flamegraph.pl-compatible collapsed
-  stacks, ``?format=speedscope`` the speedscope JSON file format, and
-  ``?window=<id>`` selects one retained/pinned window instead of the
-  merged view. See :mod:`repro.obs.contprof`.
 
 RED accounting (counters, latency histograms, sliding-window rates,
 correlation ids, access log) is handled per request by
@@ -45,7 +38,7 @@ slow and head-sampled requests are kept.
 
 The transport-facing entry point is :meth:`ServeApp.respond`, which
 wraps :meth:`ServeApp.dispatch` with content negotiation (gzip for the
-text-heavy ``/metrics``, ``/slo``, ``/traces`` and ``/profile`` bodies).
+text-heavy ``/metrics``, ``/slo`` and ``/traces`` bodies).
 """
 
 from __future__ import annotations
@@ -67,7 +60,6 @@ from repro.obs.exporters import OPENMETRICS_TYPE
 from repro.obs.metrics import LATENCY_BUCKETS
 from repro.ingest.contract import ContractError, parse_body
 from repro.ingest.engine import IngestEngine, IngestOverload
-from repro.obs.contprof import ContinuousProfiler, collapse_text, speedscope_doc
 from repro.obs.tracestore import TailSampler, TraceRecord, TraceStore
 from repro.obs.tracing import to_chrome_trace
 from repro.serve.context import RequestContext, sanitize_request_id
@@ -79,7 +71,7 @@ JSON_TYPE = "application/json; charset=utf-8"
 METRICS_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 #: Paths whose (large, text) responses are gzip-encoded on request.
-GZIP_PATHS = ("/metrics", "/slo", "/traces", "/profile")
+GZIP_PATHS = ("/metrics", "/slo", "/traces")
 
 
 @dataclass
@@ -149,12 +141,10 @@ class ServeApp:
         tail_sampler: Optional[TailSampler] = None,
         ingest_engine: Optional[IngestEngine] = None,
         ingest_snapshot_dir: Optional[Path] = None,
-        profiler: Optional[ContinuousProfiler] = None,
         tsdb_sampler=None,
     ):
         self._engine = engine
         self._slo_engine = slo_engine
-        self._profiler = profiler
         self._tsdb_sampler = tsdb_sampler
         self._ingest = ingest_engine
         self._ingest_snapshot_dir = (
@@ -196,11 +186,6 @@ class ServeApp:
         """The tail-sampled trace store, or ``None`` when tracing is off."""
         return self._trace_store
 
-    @property
-    def profiler(self) -> Optional[ContinuousProfiler]:
-        """The continuous profiler, or ``None`` when profiling is off."""
-        return self._profiler
-
     # ------------------------------------------------------------------
     def dispatch(
         self,
@@ -234,7 +219,6 @@ class ServeApp:
             "/metrics": "metrics",
             "/slo": "slo",
             "/traces": "traces",
-            "/profile": "profile",
         }.get(path, "other")
         clean_id = sanitize_request_id(request_id)
         ctx = RequestContext(
@@ -417,18 +401,6 @@ class ServeApp:
                         ctx, 404, "request tracing is not enabled on this server"
                     )
                 return 200, JSON_TYPE, _json_bytes(self.traces_doc(params))
-            if endpoint == "profile":
-                if method != "GET":
-                    return self._error(ctx, 405, "GET required for /profile")
-                if self._profiler is None:
-                    return self._error(
-                        ctx,
-                        404,
-                        "continuous profiling is not enabled "
-                        "(start serve with --prof)",
-                    )
-                content_type, payload = self.profile_payload(params)
-                return 200, content_type, payload
             return self._error(ctx, 404, f"no such endpoint: {path}")
         except _ClientError as exc:
             return self._error(ctx, 400, str(exc))
@@ -627,8 +599,8 @@ class ServeApp:
 
         With ingest enabled the model counts are read live (the forest
         grows mid-stream). The ``subsystems`` block reports every
-        optional background subsystem — tsdb sampler, trace store,
-        continuous profiler, live ingest — in one uniform shape:
+        optional background subsystem — tsdb sampler, trace store, live
+        ingest — in one uniform shape:
         ``enabled``, ``segments`` on disk, ``last_flush_age_seconds``,
         plus a few subsystem-specific operational fields.
         """
@@ -697,9 +669,6 @@ class ServeApp:
                 kept=self._trace_store.added,
                 count=len(self._trace_store),
             )
-        profiler = block(False)
-        if self._profiler is not None:
-            profiler = block(True, self._profiler.log, **self._profiler.stats())
         ingest = block(self._ingest is not None)
         if self._ingest is not None:
             stats = self._ingest.stats()
@@ -709,7 +678,6 @@ class ServeApp:
         return {
             "tsdb": tsdb,
             "traces": traces,
-            "profiler": profiler,
             "ingest": ingest,
         }
 
@@ -753,36 +721,3 @@ class ServeApp:
             "sort": sort,
             "traces": [record.summary() for record in records],
         }
-
-    def profile_payload(
-        self, params: Mapping[str, str]
-    ) -> Tuple[str, bytes]:
-        """The ``/profile`` body in the negotiated format.
-
-        ``?format=summary`` (default) is the JSON summary document,
-        ``collapsed`` the flamegraph.pl text, ``speedscope`` the
-        speedscope JSON file. ``?window=<id>`` selects one retained or
-        pinned window; the default merges everything still in memory so
-        a just-rotated window never renders empty.
-        """
-        if self._profiler is None:
-            raise RuntimeError("no profiler configured")
-        fmt = str(params.get("format", "summary"))
-        if fmt not in ("summary", "collapsed", "speedscope"):
-            raise _ClientError(
-                "format must be 'summary', 'collapsed' or 'speedscope'"
-            )
-        window_id = params.get("window") or None
-        if fmt == "summary" and window_id is None:
-            return JSON_TYPE, _json_bytes(self._profiler.profile_doc())
-        try:
-            window = self._profiler.merged(window_id)
-        except KeyError:
-            raise _ClientError(f"no such profile window: {window_id}")
-        if fmt == "collapsed":
-            return "text/plain; charset=utf-8", collapse_text(window).encode()
-        if fmt == "speedscope":
-            return JSON_TYPE, _json_bytes(speedscope_doc(window))
-        doc = window.summary()
-        doc["top"] = window.top_frames(10)
-        return JSON_TYPE, _json_bytes(doc)

@@ -42,7 +42,7 @@ def build_handler(app: ServeApp) -> type:
     """
 
     class _RequestHandler(BaseHTTPRequestHandler):
-        # HTTP/1.1 enables keep-alive for repeat scrapers like repro top;
+        # HTTP/1.1 enables keep-alive for repeat scrapers of /metrics;
         # dispatch always produces a body, so Content-Length is always set.
         protocol_version = "HTTP/1.1"
         server_version = "repro-serve"

@@ -44,10 +44,6 @@ class CityLayout:
     def num_corridors(self) -> int:
         return self.ew_corridors + self.ns_corridors
 
-    @property
-    def num_highways(self) -> int:
-        return 2 * self.num_corridors
-
 
 def build_highways(layout: CityLayout, seed: int = 0) -> List[Highway]:
     """Build the directed highways of the city, deterministically by seed.

@@ -520,11 +520,6 @@ class TrafficSimulator:
             congested=congested,
         )
 
-    def atypical_fraction(self, day: int) -> float:
-        """Share of atypical readings on ``day`` (calibration helper)."""
-        matrix = self.simulate_day_matrix(day)
-        return float((matrix > 0).mean())
-
     # ------------------------------------------------------------------
     # Materialization
     # ------------------------------------------------------------------

@@ -4,7 +4,7 @@
 re-exported; import it by module path.
 """
 
-from repro.spatial.geometry import BBox, Point, distance, polyline_length, walk_polyline
+from repro.spatial.geometry import BBox, Point, walk_polyline
 from repro.spatial.grid import SensorGridIndex
 from repro.spatial.network import Highway, Sensor, SensorNetwork, deploy_sensors
 from repro.spatial.regions import District, DistrictGrid, QueryRegion
@@ -12,8 +12,6 @@ from repro.spatial.regions import District, DistrictGrid, QueryRegion
 __all__ = [
     "BBox",
     "Point",
-    "distance",
-    "polyline_length",
     "walk_polyline",
     "Highway",
     "Sensor",

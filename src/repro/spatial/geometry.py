@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-__all__ = ["Point", "BBox", "distance", "polyline_length", "walk_polyline"]
+__all__ = ["Point", "BBox", "polyline_length", "walk_polyline"]
 
 
 @dataclass(frozen=True, order=True)
@@ -29,11 +29,6 @@ class Point:
 
     def as_tuple(self) -> tuple[float, float]:
         return (self.x, self.y)
-
-
-def distance(a: Point, b: Point) -> float:
-    """Euclidean distance in miles between two points."""
-    return a.distance_to(b)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ from repro.storage.serialize import (
     decode_clusters,
     encode_cluster,
     encode_clusters,
-    events_size_bytes,
 )
 
 __all__ = [
@@ -39,5 +38,4 @@ __all__ = [
     "decode_clusters",
     "encode_cluster",
     "encode_clusters",
-    "events_size_bytes",
 ]

@@ -9,8 +9,7 @@ cache miss by construction — never a stale hit.
 
 Hits and misses are mirrored into the observability registry
 (``model_cache.hits`` / ``model_cache.misses``) when collection is
-enabled; the query service surfaces them on ``/metrics`` and the
-``repro top`` cache panel.
+enabled; the query service surfaces them on ``/metrics``.
 
 Entries carry a per-model ``query_lock``. The engine's query path shares
 mutable state (the similarity cache) across runs, so concurrent server
@@ -21,8 +20,7 @@ For columnar models the cached engine holds a
 :class:`~repro.storage.columnar.ColumnarForest` over one read-only
 ``numpy.memmap`` — every server thread shares that single mapped model
 (the OS page cache backs it once, process-wide) instead of each request
-paying for its own deserialized copy. ``cache_info`` reports each
-entry's ``forest_format``.
+paying for its own deserialized copy.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro import obs
 
@@ -41,7 +39,6 @@ __all__ = [
     "CachedModel",
     "model_digest",
     "load_engine_cached",
-    "cache_info",
     "clear_model_cache",
 ]
 
@@ -129,25 +126,6 @@ def load_engine_cached(
         # caller shares one engine (and one query_lock)
         entry = _CACHE.setdefault(key, entry)
     return entry
-
-
-def cache_info() -> Dict[str, object]:
-    """Point-in-time cache inventory (size and per-entry provenance)."""
-    with _LOCK:
-        entries = list(_CACHE.values())
-    return {
-        "size": len(entries),
-        "models": [
-            {
-                "model_dir": str(e.model_dir),
-                "digest": e.digest,
-                "loaded_at": e.loaded_at,
-                "load_seconds": e.load_seconds,
-                "forest_format": e.forest_format,
-            }
-            for e in entries
-        ],
-    }
 
 
 def clear_model_cache() -> int:

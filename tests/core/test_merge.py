@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.cluster import ClusterIdGenerator
-from repro.core.merge import merge_clusters, merge_many
+from repro.core.merge import merge_clusters
 
 from tests.conftest import make_cluster
 
@@ -67,29 +67,3 @@ class TestMergeClusters:
         assert left.spatial.keys() == right.spatial.keys()
         for key in left.spatial.keys():
             assert left.spatial[key] == pytest.approx(right.spatial[key])
-
-
-class TestMergeMany:
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            merge_many([])
-
-    def test_single_passthrough(self):
-        c = make_cluster({1: 1.0})
-        assert merge_many([c]) is c
-
-    def test_three_way(self):
-        clusters = [make_cluster({i: 1.0}) for i in range(3)]
-        merged = merge_many(clusters)
-        assert merged.severity() == pytest.approx(3.0)
-        assert len(merged.members) == 3
-
-    @given(clusters=st.lists(cluster_strategy, min_size=2, max_size=5))
-    def test_matches_pairwise_fold(self, clusters):
-        folded = clusters[0]
-        for c in clusters[1:]:
-            folded = merge_clusters(folded, c)
-        bulk = merge_many(clusters)
-        assert bulk.spatial.keys() == folded.spatial.keys()
-        for key in bulk.spatial.keys():
-            assert bulk.spatial[key] == pytest.approx(folded.spatial[key])

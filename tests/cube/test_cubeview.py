@@ -46,7 +46,6 @@ class TestPreprocess:
         result = preprocess([dataset])
         assert result.report.records_scanned == 2 * 4 * 288
         assert result.report.records_aggregated == 60
-        assert len(result.all_records()) == 60
 
     def test_day_subset(self, world):
         dataset, _, _ = world

@@ -28,14 +28,13 @@ class TestSensorDayCube:
     def test_accumulates_per_sensor(self):
         _, _, cube = build()
         cube.add_records(make_batch([(3, 10, 4.0), (3, 11, 2.0), (5, 10, 1.0)]))
-        assert cube.sensor_severity(3, [0]) == 6.0
-        assert cube.sensor_severity(5, [0]) == 1.0
+        assert cube.day_weights([0]) == {3: 6.0, 5: 1.0}
 
     def test_day_separation(self):
         _, _, cube = build()
         cube.add_records(make_batch([(3, 10, 4.0), (3, 288 + 10, 2.0)]))
-        assert cube.sensor_severity(3, [0]) == 4.0
-        assert cube.sensor_severity(3, [1]) == 2.0
+        assert cube.day_weights([0]) == {3: 4.0}
+        assert cube.day_weights([1]) == {3: 2.0}
 
     def test_beyond_calendar_rejected(self):
         _, _, cube = build()

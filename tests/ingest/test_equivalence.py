@@ -10,12 +10,13 @@ equality; the ``ingest_backfill`` workload of ``bench/`` re-checks
 from __future__ import annotations
 
 import hashlib
+import random
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.engine import AnalysisEngine, EngineConfig
@@ -110,6 +111,14 @@ class TestChunkingInvariance:
         ),
         cut=st.integers(0, 59),
         shuffler=st.randoms(use_true_random=False),
+    )
+    # pins the day's sensor-major accumulation order: the cube's float sum
+    # over these three records differs when the day is sorted window-major
+    # (a case the fixed-seed catalog days of TestByteParity do not reach)
+    @example(
+        records=[(0, 0, 1.0), (0, 2, 6.0), (1, 1, 1.1875)],
+        cut=0,
+        shuffler=random.Random(0),
     )
     def test_any_chunking_matches_one_shot(
         self, small_sim, records, cut, shuffler

@@ -9,6 +9,8 @@ import pytest
 
 from repro import obs
 
+from tests.reference.promtext import parse_prometheus_text
+
 # One exposition-format sample line: name, optional labels, value.
 _SAMPLE = re.compile(
     r"^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^{}]*\})? "
@@ -185,7 +187,7 @@ class TestPrometheusRoundTrip:
         with obs.span("handler"):
             pass
         text = obs.to_prometheus_text(registry.snapshot())
-        parsed = obs.parse_prometheus_text(text)
+        parsed = parse_prometheus_text(text)
         assert parsed["counters"]["repro_serve_requests_total"] == 7
         assert parsed["gauges"]["repro_serve_in_flight"] == 2
         hist = parsed["histograms"]["repro_serve_request_seconds"]
@@ -201,7 +203,7 @@ class TestPrometheusRoundTrip:
         with obs.span(hostile):
             pass
         text = obs.to_prometheus_text(registry.snapshot())
-        parsed = obs.parse_prometheus_text(text)
+        parsed = parse_prometheus_text(text)
         labels = parsed["summaries"]["repro_span_duration_seconds"]
         assert hostile in labels
         assert labels[hostile]["count"] == 1
@@ -217,7 +219,7 @@ class TestPrometheusRoundTrip:
                 continue
             name = line.split("{")[0].split(" ")[0]
             assert all(c.isascii() and (c.isalnum() or c in "_:") for c in name), name
-        parsed = obs.parse_prometheus_text(text)
+        parsed = parse_prometheus_text(text)
         assert parsed["counters"]["repro_caf__requ_tes_total"] == 1
         assert parsed["counters"]["repro_weird_name____total"] == 2
 
@@ -226,9 +228,9 @@ class TestPrometheusRoundTrip:
         text = obs.to_prometheus_text(registry.snapshot())
         # the newline must be escaped inside HELP, not emitted raw
         assert "\nrepro_fake_total 999" not in text.replace("\\n", "")
-        parsed = obs.parse_prometheus_text(text)
+        parsed = parse_prometheus_text(text)
         assert "repro_fake_total" not in parsed["counters"]
 
     def test_unknown_sample_rejected(self):
         with pytest.raises(ValueError, match="no preceding"):
-            obs.parse_prometheus_text("mystery_metric 5\n")
+            parse_prometheus_text("mystery_metric 5\n")

@@ -4,18 +4,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import threading
 
 import pytest
 
 from repro.obs import segmentlog
-from repro.obs.contprof import (
-    PROF_SEGMENT_PREFIX,
-    ContinuousProfiler,
-    ProfileWindow,
-    load_prof_segments,
-)
 from repro.obs.segmentlog import SegmentLog, read_rows
 from repro.obs.tracestore import (
     TRACE_SEGMENT_PREFIX,
@@ -139,26 +132,8 @@ class TestSegmentLog:
 
 
 # ----------------------------------------------------------------------
-# The three stores on top of the log
+# The two stores on top of the log
 # ----------------------------------------------------------------------
-class _Code:
-    def __init__(self, name):
-        self.co_name = name
-
-
-class _Frame:
-    def __init__(self, module, name, back=None):
-        self.f_globals = {"__name__": module}
-        self.f_code = _Code(name)
-        self.f_back = back
-
-
-FRAMES = {
-    1: _Frame("app.main", "serve", _Frame("threading", "run")),
-    2: _Frame("threading", "wait", _Frame("app.main", "poll")),
-}
-
-
 def _tsdb_row(i):
     return {
         "t": T0 + i,
@@ -206,18 +181,9 @@ STORES = {
         _trace(999).to_dict() | {"request_id": "stray"},
         lambda d: load_trace_segments(d).get("stray") is None,
     ),
-    "profiler": (
-        PROF_SEGMENT_PREFIX,
-        lambda d: ContinuousProfiler(hz=10, window_seconds=1, segment_dir=d),
-        # every tick after the first folds the previous window into a row
-        lambda store, i: store.sample_once(now=i * 10.0, frames=FRAMES),
-        lambda d: len(load_prof_segments(d)),
-        ProfileWindow("stray", 0.0, 1.0).to_dict(),
-        lambda d: all(w.id != "stray" for w in load_prof_segments(d)),
-    ),
 }
 
-#: Surviving segment names and sha256 digests written by the three
+#: Surviving segment names and sha256 digests written by the two
 #: stores' own appenders before they shared :mod:`repro.obs.segmentlog`,
 #: for the fixed row sequences below — plus the replayed row counts.
 PRE_REFACTOR_DIGESTS = {
@@ -237,18 +203,10 @@ PRE_REFACTOR_DIGESTS = {
         },
         6,
     ),
-    "profiler": (
-        {
-            "prof-000026.ndjson": "09ee47474fd542834eab4200de8d3116d552f2f016bdf2984bc7557298cb905f",
-            "prof-000027.ndjson": "6dc353fa4b8536118a7b5607088eb1cc37fef670afefb972a797af311e575ae6",
-            "prof-000028.ndjson": "f8206cfd2f14a434631d457d9f276f51f7dc1e95bcaec56a138d768552ada0ee",
-        },
-        3,
-    ),
 }
 
 #: (rows pushed, MAX_SEGMENT_BYTES) for the digest test, per store.
-DIGEST_RUNS = {"tsdb": (60, 400), "traces": (40, 600), "profiler": (30, 300)}
+DIGEST_RUNS = {"tsdb": (60, 400), "traces": (40, 600)}
 
 
 @pytest.mark.parametrize("kind", sorted(STORES))
@@ -257,9 +215,7 @@ def test_on_disk_bytes_unchanged(kind, tmp_path, monkeypatch):
     rows, max_bytes = DIGEST_RUNS[kind]
     monkeypatch.setattr(segmentlog, "MAX_SEGMENT_BYTES", max_bytes)
     monkeypatch.setattr(segmentlog, "MAX_SEGMENTS", 3)
-    with monkeypatch.context() as m:  # profile window ids carry entropy
-        m.setattr(os, "urandom", lambda n: bytes(n))
-        store = make(tmp_path)
+    store = make(tmp_path)
     for i in range(rows):
         push(store, i)
     digests = {

@@ -411,76 +411,18 @@ def test_describe_lines():
 
 
 class TestProfileExemplar:
-    """The PAGE -> flamegraph link: pin on transition, hold, forget."""
-
-    def _engine_with_profiler(self):
-        from repro.obs.contprof import ContinuousProfiler
-
-        config = SLOConfig(
-            slos=(SLO(name="availability", kind="availability", objective=0.99),)
-        )
-        profiler = ContinuousProfiler(hz=10, window_seconds=3600)
-
-        class _Frame:
-            f_back = None
-            f_globals = {"__name__": "app"}
-            f_code = type("C", (), {"co_name": "work"})()
-
-        profiler.sample_once(now=T0, frames={1: _Frame()})
-        return SLOEngine(config, TimeSeriesStore(), profiler=profiler), profiler
-
-    def test_pinned_on_transition_and_held_while_alerting(self):
-        engine, profiler = self._engine_with_profiler()
-        _feed(engine.store, 60, 60.0, 12.0, T0)  # 20% errors -> PAGE
-        report = engine.evaluate(now=T0 + 3600)
-        status = report.statuses[0]
-        assert status.state == "PAGE"
-        pinned_id = status.exemplar_profile_id
-        assert pinned_id == profiler.current_window_id()
-        assert status.to_dict()["exemplar_profile_id"] == pinned_id
-
-        # still alerting: the same exemplar, not a new pin per evaluation
-        report = engine.evaluate(now=T0 + 3600)
-        assert report.statuses[0].exemplar_profile_id == pinned_id
-
-    def test_cleared_on_recovery(self):
-        engine, profiler = self._engine_with_profiler()
-        req, err = _feed(engine.store, 60, 60.0, 12.0, T0)
-        report = engine.evaluate(now=T0 + 3600)
-        assert report.statuses[0].exemplar_profile_id is not None
-        # 13h of clean traffic drains every burn window back to OK
-        _feed(engine.store, 13 * 60, 60.0, 0.0, T0 + 3600, req, err)
-        report = engine.evaluate(now=T0 + 14 * 3600)
-        assert report.statuses[0].state == "OK"
-        assert report.statuses[0].exemplar_profile_id is None
-        # the next incident pins afresh rather than reusing the stale id
-        assert engine._profile_exemplars == {}
+    """The profile exemplar is retired with the continuous profiler; the
+    trace ids are the one exemplar an alert carries."""
 
     def test_ok_without_profiler_stays_none(self):
         config = SLOConfig(
             slos=(SLO(name="availability", kind="availability", objective=0.99),)
         )
+        with pytest.raises(TypeError):
+            SLOEngine(config, TimeSeriesStore(), profiler=object())
         engine = SLOEngine(config, TimeSeriesStore())
         _feed(engine.store, 60, 60.0, 12.0, T0)
-        report = engine.evaluate(now=T0 + 3600)
-        assert report.statuses[0].state == "PAGE"
-        assert report.statuses[0].exemplar_profile_id is None
-
-    def test_check_doc_renders_profile_id(self):
-        doc = {
-            "state": "PAGE",
-            "slos": [
-                {
-                    "name": "avail",
-                    "state": "PAGE",
-                    "description": "99.00% of requests succeed",
-                    "windows": [
-                        {"name": "fast", "short_burn": 20.0, "long_burn": 15.0}
-                    ],
-                    "exemplar_profile_id": "pw-000042-abcdef",
-                }
-            ],
-        }
-        code, lines = check_doc(doc)
-        assert code == 1
-        assert "profile: pw-000042-abcdef" in lines[0]
+        status = engine.evaluate(now=T0 + 3600).statuses[0]
+        assert status.state == "PAGE"
+        assert not hasattr(status, "exemplar_profile_id")
+        assert "exemplar_profile_id" not in status.to_dict()

@@ -14,6 +14,7 @@ from repro.ingest import IngestEngine
 from repro.ingest.contract import render_ndjson
 from repro.serve import QueryServer, ServeApp
 
+from tests.reference.promtext import parse_prometheus_text
 from .conftest import BUILD_DAYS
 
 
@@ -206,7 +207,7 @@ class TestIngestEndpoint:
         with urllib.request.urlopen(
             ingest_server.base + "/metrics", timeout=10
         ) as resp:
-            parsed = obs.parse_prometheus_text(resp.read().decode())
+            parsed = parse_prometheus_text(resp.read().decode())
         assert parsed["counters"]["repro_ingest_events_accepted_total"] == len(
             rows
         )

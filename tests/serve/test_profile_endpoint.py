@@ -1,33 +1,20 @@
-"""GET /profile, the /healthz subsystems block, and the top panel."""
+"""GET /profile, retired with the continuous profiler, and the /healthz
+subsystems block it used to sit in."""
 
 from __future__ import annotations
 
-import gzip
 import json
 
 import pytest
 
 from repro import obs
 from repro.analysis.engine import AnalysisEngine, EngineConfig
-from repro.obs.contprof import ContinuousProfiler
 from repro.obs.tracestore import TailSampler, TraceStore
 from repro.serve import ServeApp
-from repro.serve.dashboard import (
-    DashboardView,
-    fetch_profile,
-    profile_url_for,
-    render,
-)
 
 from .conftest import BUILD_DAYS
 
 QUERY_BODY = json.dumps({"first_day": 0, "days": BUILD_DAYS}).encode()
-
-
-class _Frame:
-    f_back = None
-    f_globals = {"__name__": "app"}
-    f_code = type("C", (), {"co_name": "work"})()
 
 
 @pytest.fixture(scope="module")
@@ -37,81 +24,15 @@ def built_engine(small_sim):
     return engine
 
 
-@pytest.fixture()
-def profiled_app(built_engine):
-    """An in-process app with a profiler that already holds one sample."""
-    registry = obs.MetricsRegistry(span_limit=10_000)
-    with obs.activate(registry):
-        profiler = ContinuousProfiler(hz=10, window_seconds=3600)
-        profiler.sample_once(now=1000.0, frames={1: _Frame()})
-        yield ServeApp(built_engine, profiler=profiler)
-
-
 class TestProfileEndpoint:
     def test_404_when_profiling_off(self, built_engine):
+        # profiling is always off now: no profiler argument, no route
+        with pytest.raises(TypeError):
+            ServeApp(built_engine, profiler=object())
         app = ServeApp(built_engine)
-        status, _, payload, _ = app.dispatch("GET", "/profile", {}, b"")
-        assert status == 404
-        assert b"--prof" in payload
-
-    def test_405_on_post(self, profiled_app):
-        status, _, _, _ = profiled_app.dispatch("POST", "/profile", {}, b"")
-        assert status == 405
-
-    def test_summary_document(self, profiled_app):
-        status, ctype, payload, _ = profiled_app.dispatch(
-            "GET", "/profile", {}, b""
-        )
-        assert status == 200 and ctype.startswith("application/json")
-        doc = json.loads(payload)
-        assert doc["enabled"] is True
-        assert doc["total"] == 1
-        assert doc["top"][0]["frame"] == "app.work"
-        assert doc["current"]["samples"] == 1
-
-    def test_collapsed_format(self, profiled_app):
-        status, ctype, payload, _ = profiled_app.dispatch(
-            "GET", "/profile", {"format": "collapsed"}, b""
-        )
-        assert status == 200 and ctype.startswith("text/plain")
-        assert payload.decode() == "app.work 1\n"
-
-    def test_speedscope_format(self, profiled_app):
-        status, _, payload, _ = profiled_app.dispatch(
-            "GET", "/profile", {"format": "speedscope"}, b""
-        )
-        assert status == 200
-        doc = json.loads(payload)
-        assert doc["$schema"].endswith("file-format-schema.json")
-        assert doc["profiles"][0]["weights"] == [1]
-
-    def test_window_selector(self, profiled_app):
-        window_id = profiled_app.profiler.current_window_id()
-        status, _, payload, _ = profiled_app.dispatch(
-            "GET", "/profile", {"window": window_id}, b""
-        )
-        assert status == 200
-        doc = json.loads(payload)
-        assert doc["id"] == window_id
-        assert doc["top"][0]["frame"] == "app.work"
-
-    def test_bad_format_and_unknown_window_are_400(self, profiled_app):
-        status, _, _, _ = profiled_app.dispatch(
-            "GET", "/profile", {"format": "pprof"}, b""
-        )
-        assert status == 400
-        status, _, payload, _ = profiled_app.dispatch(
-            "GET", "/profile", {"window": "pw-999999-nope"}, b""
-        )
-        assert status == 400
-        assert b"no such profile window" in payload
-
-    def test_gzip_negotiated(self, profiled_app):
-        response = profiled_app.respond(
-            "GET", "/profile", {}, b"", headers={"Accept-Encoding": "gzip"}
-        )
-        assert response.headers.get("Content-Encoding") == "gzip"
-        assert json.loads(gzip.decompress(response.payload))["enabled"] is True
+        status, ctype, payload, _ = app.dispatch("GET", "/profile", {}, b"")
+        assert status == 404 and ctype.startswith("application/json")
+        assert json.loads(payload)["error"] == "no such endpoint: /profile"
 
 
 class TestHealthzSubsystems:
@@ -120,19 +41,11 @@ class TestHealthzSubsystems:
         status, _, payload, _ = app.dispatch("GET", "/healthz", {}, b"")
         assert status == 200
         subsystems = json.loads(payload)["subsystems"]
-        assert set(subsystems) == {"tsdb", "traces", "profiler", "ingest"}
+        assert set(subsystems) == {"tsdb", "traces", "ingest"}
         for block in subsystems.values():
             assert block["enabled"] is False
             assert block["segments"] == 0
             assert block["last_flush_age_seconds"] is None
-
-    def test_profiler_block_reports_liveness(self, profiled_app):
-        _, _, payload, _ = profiled_app.dispatch("GET", "/healthz", {}, b"")
-        block = json.loads(payload)["subsystems"]["profiler"]
-        assert block["enabled"] is True
-        assert block["running"] is False  # sampled by hand, thread not started
-        assert block["hz"] == 10
-        assert block["current_window"] is not None
 
     def test_traces_block_counts_segments(self, built_engine, tmp_path):
         with obs.activate(obs.MetricsRegistry(span_limit=10_000)):
@@ -149,37 +62,3 @@ class TestHealthzSubsystems:
         assert block["segments"] == 1
         assert block["last_flush_age_seconds"] is not None
         assert block["last_flush_age_seconds"] < 60.0
-
-
-class TestDashboardPanel:
-    def test_profile_url_rewrite(self):
-        assert (
-            profile_url_for("http://h:9/metrics") == "http://h:9/profile"
-        )
-        assert profile_url_for("http://h:9") == "http://h:9/profile"
-
-    def test_fetch_profile_none_on_unreachable(self):
-        assert fetch_profile("http://127.0.0.1:9/profile", timeout=0.2) is None
-
-    def test_apply_profile_folds_rows(self):
-        view = DashboardView()
-        view.apply_profile(
-            {
-                "total": 10,
-                "top": [
-                    {"frame": "app.hot", "running": 6, "waiting": 0, "total": 6},
-                    {"frame": "app.idle", "running": 0, "waiting": 4, "total": 4},
-                ],
-            }
-        )
-        assert view.profile_samples == 10
-        assert view.profile_rows[0] == ("app.hot", 6, 0, 0.6)
-        text = render(view, "http://h:9/metrics")
-        assert "hottest frames (continuous profiler" in text
-        assert "app.hot" in text and "60.0%" in text
-
-    def test_none_omits_panel(self):
-        view = DashboardView()
-        view.apply_profile(None)
-        assert view.profile_samples is None
-        assert "hottest frames" not in render(view, "http://h:9/metrics")

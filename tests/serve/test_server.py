@@ -14,9 +14,9 @@ import pytest
 
 from repro import obs
 from repro.cli import build_parser, main
-from repro.serve import run_top
 from repro.serve.handlers import JSON_TYPE, METRICS_TYPE
 
+from tests.reference.promtext import parse_prometheus_text
 from .conftest import BUILD_DAYS
 
 
@@ -51,12 +51,29 @@ class TestEndpointContracts:
         assert doc["requests"]["in_flight"] >= 0
         assert doc["observability"] is True
 
+        # every optional subsystem on: exactly these three report
+        from repro.ingest import IngestEngine
+        from repro.obs.tracestore import TraceStore
+        from repro.obs.tsdb import Sampler, TimeSeriesStore
+        from repro.serve.handlers import ServeApp
+
+        engine = live_server.app.engine
+        app = ServeApp(
+            engine,
+            trace_store=TraceStore(),
+            ingest_engine=IngestEngine(engine),
+            tsdb_sampler=Sampler(TimeSeriesStore()),
+        )
+        subsystems = app.health()["subsystems"]
+        assert set(subsystems) == {"tsdb", "traces", "ingest"}
+        assert all(block["enabled"] for block in subsystems.values())
+
     def test_metrics(self, live_server):
         _get(live_server.base, "/healthz")
         status, headers, body = _get(live_server.base, "/metrics")
         assert status == 200
         assert headers["Content-Type"] == METRICS_TYPE
-        parsed = obs.parse_prometheus_text(body.decode())
+        parsed = parse_prometheus_text(body.decode())
         assert parsed["counters"]["repro_serve_requests_total"] == 1
         assert "repro_serve_requests_rate" in parsed["rates"]
 
@@ -141,7 +158,10 @@ class TestErrors:
         self._expect_error(lambda: _get(live_server.base, "/query"), 405)
 
     def test_unknown_path_is_404(self, live_server):
-        self._expect_error(lambda: _get(live_server.base, "/nope"), 404)
+        # /profile is the retired continuous profiler's endpoint
+        for path in ("/nope", "/profile"):
+            doc = self._expect_error(lambda: _get(live_server.base, path), 404)
+            assert doc["error"] == f"no such endpoint: {path}"
 
 
 class TestSloEndpoint:
@@ -243,7 +263,7 @@ class TestTelemetry:
             t.join()
         assert not failures
         _, _, body = _get(live_server.base, "/metrics")
-        parsed = obs.parse_prometheus_text(body.decode())
+        parsed = parse_prometheus_text(body.decode())
         total = workers * per_worker
         # the scrape reads the registry before its own request is counted
         assert parsed["counters"]["repro_serve_requests_total"] == total
@@ -263,7 +283,7 @@ class TestTelemetry:
         _get(live_server.base, "/metrics")
 
         _, _, body = _get(live_server.base, "/metrics")
-        c = obs.parse_prometheus_text(body.decode())["counters"]
+        c = parse_prometheus_text(body.decode())["counters"]
         assert c["repro_serve_requests_total"] == 5
         assert c["repro_serve_requests_query_total"] == 3
         assert c["repro_serve_requests_healthz_total"] == 1
@@ -366,39 +386,6 @@ class TestShutdown:
             _get(live_server.base, "/healthz")
 
 
-class TestTopDashboard:
-    def test_repro_top_renders_from_live_scrape(self, live_server):
-        _post(live_server.base, "/query", {"days": 2})
-        _get(live_server.base, "/healthz")
-        out = io.StringIO()
-        code = run_top(
-            live_server.base + "/metrics",
-            interval=0.01,
-            iterations=2,
-            stream=out,
-            clear=False,
-        )
-        assert code == 0
-        text = out.getvalue()
-        assert "repro top" in text
-        assert "requests  total=" in text
-        assert "p50=" in text
-        # two requests happened before the first scrape
-        assert "total=       2" in text
-
-    def test_top_survives_dead_endpoint(self):
-        out = io.StringIO()
-        code = run_top(
-            "http://127.0.0.1:9/metrics",
-            interval=0.01,
-            iterations=1,
-            stream=out,
-            clear=False,
-        )
-        assert code == 0
-        assert "scrape failed" in out.getvalue()
-
-
 class TestCliParser:
     def test_serve_arguments_parse(self):
         args = build_parser().parse_args(
@@ -415,10 +402,11 @@ class TestCliParser:
         assert args.span_limit == 500
         assert args.log_level == "info"  # serve defaults to access logging
 
-    def test_top_arguments_parse(self):
-        args = build_parser().parse_args(
-            ["top", "--url", "http://x/metrics", "--iterations", "3", "--no-clear"]
-        )
-        assert args.command == "top"
-        assert args.iterations == 3
-        assert args.no_clear is True
+    def test_top_arguments_parse(self, capsys):
+        # `repro top` is retired: /metrics, /healthz and /slo answer it
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                ["top", "--url", "http://x/metrics", "--iterations", "3", "--no-clear"]
+            )
+        assert exc.value.code == 2
+        assert "invalid choice: 'top'" in capsys.readouterr().err

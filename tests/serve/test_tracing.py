@@ -13,19 +13,13 @@ import pytest
 from repro import obs
 from repro.analysis.engine import AnalysisEngine, EngineConfig
 from repro.cli import build_parser, main
-from repro.obs.exporters import parse_prometheus_text
 from repro.obs.slo import SLO, SLOConfig, SLOEngine, check_doc
 from repro.obs.tracestore import TailSampler, TraceRecord, TraceStore
 from repro.obs.tsdb import TimeSeriesStore
 from repro.serve import ServeApp
 from repro.serve.context import sanitize_request_id
-from repro.serve.dashboard import (
-    DashboardView,
-    fetch_traces,
-    render,
-    traces_url_for,
-)
 
+from tests.reference.promtext import parse_prometheus_text
 from .conftest import BUILD_DAYS
 
 QUERY_BODY = json.dumps({"first_day": 0, "days": BUILD_DAYS}).encode()
@@ -365,47 +359,6 @@ class TestSLOExemplars:
         assert code == 0
         assert "trace req-rootcause" in out
         assert "query.run" in out
-
-
-class TestDashboardTracesPanel:
-    def test_traces_url_for(self):
-        assert (
-            traces_url_for("http://h:1/metrics") == "http://h:1/traces"
-        )
-        assert traces_url_for("http://h:1") == "http://h:1/traces"
-
-    def test_apply_and_render(self):
-        view = DashboardView()
-        view.apply_traces(
-            {
-                "kept": 7,
-                "traces": [
-                    {
-                        "request_id": "req-slow-1",
-                        "endpoint": "query",
-                        "status": 200,
-                        "seconds": 0.912,
-                        "reasons": ["slow", "head"],
-                    }
-                ],
-            }
-        )
-        text = render(view)
-        assert "slowest recent traces (kept 7)" in text
-        assert "req-slow-1" in text and "slow,head" in text
-
-    def test_apply_none_omits_panel(self):
-        view = DashboardView()
-        view.apply_traces(None)
-        assert "slowest recent traces" not in render(view)
-
-    def test_empty_rows_render_placeholder(self):
-        view = DashboardView()
-        view.apply_traces({"kept": 0, "traces": []})
-        assert "(none kept yet)" in render(view)
-
-    def test_fetch_traces_none_on_dead_endpoint(self):
-        assert fetch_traces("http://127.0.0.1:9/traces", timeout=0.2) is None
 
 
 class TestTraceCLI:

@@ -10,7 +10,6 @@ class TestCityLayout:
     def test_defaults(self):
         layout = CityLayout()
         assert layout.num_corridors == layout.ew_corridors + layout.ns_corridors
-        assert layout.num_highways == 2 * layout.num_corridors
 
     def test_rejects_bad_dimensions(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.spatial.geometry import BBox, Point, distance, polyline_length, walk_polyline
+from repro.spatial.geometry import BBox, Point, polyline_length, walk_polyline
 
 coords = st.floats(-100, 100, allow_nan=False)
 
@@ -17,10 +17,6 @@ class TestPoint:
 
     def test_distance_zero(self):
         assert Point(1.5, 2.5).distance_to(Point(1.5, 2.5)) == 0.0
-
-    def test_distance_function_matches_method(self):
-        a, b = Point(0, 0), Point(1, 1)
-        assert distance(a, b) == a.distance_to(b)
 
     def test_translated(self):
         assert Point(1, 2).translated(3, -1) == Point(4, 1)

@@ -8,7 +8,6 @@ from repro import obs
 from repro.analysis.engine import AnalysisEngine, EngineConfig
 from repro.storage.model_cache import (
     MODEL_FILES,
-    cache_info,
     clear_model_cache,
     load_engine_cached,
     model_digest,
@@ -83,7 +82,7 @@ class TestLoadEngineCached:
             EngineConfig(similarity_threshold=0.6),
         )
         assert a.engine is not b.engine
-        assert cache_info()["size"] == 2
+        assert clear_model_cache() == 2
 
     def test_file_change_is_a_miss(self, saved_model, small_sim):
         config = EngineConfig()
@@ -107,4 +106,4 @@ class TestLoadEngineCached:
             saved_model, small_sim.network, small_sim.districts(), EngineConfig()
         )
         assert clear_model_cache() == 1
-        assert cache_info()["size"] == 0
+        assert clear_model_cache() == 0

@@ -1,6 +1,5 @@
 """Tests for cluster serialization and model-size accounting."""
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -11,7 +10,6 @@ from repro.storage.serialize import (
     decode_clusters,
     encode_cluster,
     encode_clusters,
-    events_size_bytes,
 )
 
 from tests.conftest import make_batch, make_cluster
@@ -74,14 +72,11 @@ class TestCollections:
 
 
 class TestEventSize:
-    def test_events_size(self):
-        event = AtypicalEvent(make_batch([(1, 10, 4.0), (2, 11, 5.0)]))
-        assert events_size_bytes([event]) == 2 * 16
-
     def test_cluster_model_smaller_than_events(self):
         # the AC model stores one entry per sensor/window, not per record —
         # repeat readings on the same sensor collapse (Fig. 16's point)
         records = [(1, w, 4.0) for w in range(100)]
         event = AtypicalEvent(make_batch(records))
         cluster = event.to_micro_cluster(windows_per_day=10)
-        assert clusters_size_bytes([cluster]) < events_size_bytes([event])
+        # AE stores every member record, 16 bytes each (Fig. 16)
+        assert clusters_size_bytes([cluster]) < 16 * len(records)

@@ -11,6 +11,14 @@ from repro.cli import build_parser, main
 from repro.simulate import SimulationConfig
 
 
+def _argparse_error(argv, capsys):
+    """Run ``argv`` through the CLI, expect argparse's exit 2, return stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2, argv
+    return capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def trace_dir(tmp_path_factory):
     directory = tmp_path_factory.mktemp("trace")
@@ -84,10 +92,7 @@ class TestRetiredBench:
     """The in-process benchmark is gone; ``bench/`` is the only yardstick."""
 
     def test_bench_subcommand_is_an_argparse_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["bench"])
-        assert exc.value.code == 2
-        assert "invalid choice: 'bench'" in capsys.readouterr().err
+        assert "invalid choice: 'bench'" in _argparse_error(["bench"], capsys)
 
     def test_perf_module_is_gone(self):
         with pytest.raises(ModuleNotFoundError):
@@ -596,28 +601,27 @@ class TestSloCheckCli:
 
 
 class TestLoadgenCli:
+    """``repro loadgen`` and ``serve --prof/--prof-dir/--prof-hz`` are retired:
+    ``bench/loadgen.py`` drives load (closed and open loop) and spans answer
+    what the profiler answered, so each is an argparse error. The serve SLO
+    flags that were tested alongside them stay."""
+
     def test_unreachable_server_exits_two(self, capsys):
-        code = main(
-            ["loadgen", "http://127.0.0.1:9", "--duration", "1"]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "cannot reach server" in err
+        err = _argparse_error(["loadgen", "http://127.0.0.1:9", "--duration", "1"], capsys)
+        assert "invalid choice: 'loadgen'" in err
 
     def test_open_mode_needs_rate(self, capsys):
-        code = main(
-            ["loadgen", "http://127.0.0.1:9", "--mode", "open", "--duration", "1"]
+        err = _argparse_error(
+            ["loadgen", "http://127.0.0.1:9", "--mode", "open", "--duration", "1"], capsys
         )
-        assert code == 2
-        assert "positive --rate" in capsys.readouterr().err
+        assert "invalid choice: 'loadgen'" in err
 
-    def test_parser_defaults(self):
-        args = build_parser().parse_args(["loadgen"])
-        assert args.url == "http://127.0.0.1:8321"
-        assert args.mode == "closed"
-        assert args.duration == 10.0
-        assert args.concurrency == 4
-        assert str(args.out) == "BENCH_load.json"
+    def test_parser_defaults(self, capsys):
+        # the parser itself has no loadgen entry, so no defaults to fill in
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["loadgen"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'loadgen'" in capsys.readouterr().err
 
     def test_serve_slo_flags_parse(self, tmp_path):
         args = build_parser().parse_args(
@@ -645,139 +649,56 @@ class TestLoadgenCli:
         assert code == 2
         assert "sample-interval" in capsys.readouterr().err
 
-    def test_serve_prof_flags_parse(self, tmp_path):
-        args = build_parser().parse_args(
-            [
-                "serve",
-                "--data", str(tmp_path),
-                "--model", str(tmp_path),
-                "--prof",
-                "--prof-dir", str(tmp_path / "prof"),
-                "--prof-hz", "31",
-            ]
-        )
-        assert args.prof is True
-        assert args.prof_hz == 31.0
-        assert args.prof_dir == tmp_path / "prof"
+    def test_serve_prof_flags_parse(self, tmp_path, capsys):
+        # argparse reads a bare --prof as an abbreviation of --profile*
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                [
+                    "serve",
+                    "--data", str(tmp_path),
+                    "--model", str(tmp_path),
+                    "--prof",
+                    "--prof-dir", str(tmp_path / "prof"),
+                    "--prof-hz", "31",
+                ]
+            )
+        assert exc.value.code == 2
+        assert "ambiguous option: --prof" in capsys.readouterr().err
 
     def test_prof_dir_without_prof_exits_two(self, tmp_path, capsys):
-        code = main(
+        err = _argparse_error(
             [
                 "serve",
                 "--data", str(tmp_path),
                 "--model", str(tmp_path),
                 "--prof-dir", str(tmp_path / "prof"),
-            ]
+            ],
+            capsys,
         )
-        assert code == 2
-        assert "--prof-dir requires --prof" in capsys.readouterr().err
+        assert "unrecognized arguments: --prof-dir" in err
 
     def test_bad_prof_hz_exits_two(self, tmp_path, capsys):
-        code = main(
+        err = _argparse_error(
             [
                 "serve",
                 "--data", str(tmp_path),
                 "--model", str(tmp_path),
-                "--prof",
                 "--prof-hz", "0",
-            ]
+            ],
+            capsys,
         )
-        assert code == 2
-        assert "prof-hz" in capsys.readouterr().err
+        assert "unrecognized arguments: --prof-hz" in err
 
 
 class TestProfCommand:
-    @pytest.fixture()
-    def prof_dir(self, tmp_path):
-        """Two persisted windows with distinct hot frames."""
-        from repro.obs.contprof import ContinuousProfiler
+    """``repro prof`` is retired with the continuous profiler."""
 
-        class _Frame:
-            f_back = None
-
-            def __init__(self, name):
-                self.f_globals = {"__name__": "app"}
-                self.f_code = type("C", (), {"co_name": name})()
-
-        directory = tmp_path / "prof"
-        profiler = ContinuousProfiler(
-            hz=10, window_seconds=1, segment_dir=directory
+    def test_show_unknown_window_exits_two(self, tmp_path, capsys):
+        err = _argparse_error(
+            ["prof", "show", "pw-999999-nope", "--prof-dir", str(tmp_path)], capsys
         )
-        profiler.sample_once(now=0.0, frames={1: _Frame("alpha")})
-        profiler.sample_once(now=10.0, frames={1: _Frame("beta")})
-        profiler.sample_once(now=20.0, frames={})  # folds window 2
-        return directory
-
-    def _ids(self, prof_dir):
-        from repro.obs.contprof import load_prof_segments
-
-        return [w.id for w in load_prof_segments(prof_dir)]
-
-    def test_ls_lists_windows(self, prof_dir, capsys):
-        assert main(["prof", "ls", "--prof-dir", str(prof_dir)]) == 0
-        out = capsys.readouterr().out
-        assert "window_id" in out
-        for window_id in self._ids(prof_dir):
-            assert window_id in out
-
-    def test_show_merges_by_default(self, prof_dir, capsys):
-        assert main(["prof", "show", "--prof-dir", str(prof_dir)]) == 0
-        out = capsys.readouterr().out
-        assert "profile window merged" in out
-        assert "app.alpha" in out and "app.beta" in out
-        assert "collapsed stacks (flamegraph.pl):" in out
-
-    def test_show_specific_window(self, prof_dir, capsys):
-        first = self._ids(prof_dir)[0]
-        assert main(["prof", "show", first, "--prof-dir", str(prof_dir)]) == 0
-        out = capsys.readouterr().out
-        assert "app.alpha" in out and "app.beta" not in out
-
-    def test_show_unknown_window_exits_two(self, prof_dir, capsys):
-        code = main(
-            ["prof", "show", "pw-999999-nope", "--prof-dir", str(prof_dir)]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "no profile window" in err and "repro prof ls" in err
-
-    def test_diff_renders_frame_delta(self, prof_dir, capsys):
-        first, second = self._ids(prof_dir)
-        assert main(
-            ["prof", "diff", first, second, "--prof-dir", str(prof_dir)]
-        ) == 0
-        out = capsys.readouterr().out
-        assert f"profile diff {first} -> {second}" in out
-        assert "app.alpha" in out and "app.beta" in out
-        assert "-100.0%" in out and "+100.0%" in out
-
-    def test_export_collapsed_to_stdout(self, prof_dir, capsys):
-        first = self._ids(prof_dir)[0]
-        assert main(
-            [
-                "prof", "export", first,
-                "--prof-dir", str(prof_dir),
-                "--format", "collapsed",
-            ]
-        ) == 0
-        assert capsys.readouterr().out == "app.alpha 1\n"
-
-    def test_export_speedscope_to_file(self, prof_dir, tmp_path, capsys):
-        out_path = tmp_path / "profile.speedscope.json"
-        assert main(
-            [
-                "prof", "export",
-                "--prof-dir", str(prof_dir),
-                "--format", "speedscope",
-                "--out", str(out_path),
-            ]
-        ) == 0
-        assert "speedscope profile written" in capsys.readouterr().out
-        doc = json.loads(out_path.read_text())
-        assert doc["$schema"].endswith("file-format-schema.json")
-        assert doc["profiles"][0]["endValue"] == 2
+        assert "invalid choice: 'prof'" in err
 
     def test_missing_dir_exits_two(self, tmp_path, capsys):
-        code = main(["prof", "ls", "--prof-dir", str(tmp_path / "nope")])
-        assert code == 2
-        assert "error:" in capsys.readouterr().err
+        err = _argparse_error(["prof", "ls", "--prof-dir", str(tmp_path / "nope")], capsys)
+        assert "invalid choice: 'prof'" in err

@@ -1,14 +1,25 @@
-"""Every module under ``src/repro`` has a reader outside the tests.
+"""Every module, public function and public class under ``src/repro`` has
+a reader outside the tests.
 
-A module is *read* when something the program or its benchmarks run
-imports it: the roots are ``repro.__main__`` (the CLI), the frozen
-``bench/*.py`` and the figure suite ``benchmarks/*.py``; from there every
-import of a read module is followed, function-local ones included. A
-package ``__init__``'s own imports are not followed, since they only
-re-export. ``from pkg import Name`` and ``pkg.Name`` are resolved at run
-time to the module that defines ``Name``, so a name reached through a
-re-export reads the module behind it. A module no root reaches is code only
-its own tests run; it belongs in ``tests/`` or nowhere.
+A module is *read* when something the program, its benchmarks, its
+examples or its smoke scripts run imports it: the roots are
+``repro.__main__`` (the CLI), the frozen ``bench/*.py``, the figure suite
+``benchmarks/*.py``, ``examples/*.py`` and the inline Python
+(``python - <<'PY'``) of ``tools/*.sh``; from there every import of a read
+module is followed, function-local ones included. A package ``__init__``'s
+own imports are not followed, since they only re-export. ``from pkg import
+Name`` and ``pkg.Name`` are resolved at run time to the module that defines
+``Name``, so a name reached through a re-export reads the module behind it.
+A module no root reaches is code only its own tests run; it belongs in
+``tests/`` or nowhere.
+
+The same walk records which top-level functions and classes are read: a
+name imported or reached as ``module.Name`` by a root or a read module, or
+used bare inside its own module outside its own definition. Methods are
+out of scope. Their callers are found by dynamic dispatch on an object
+whose type the AST does not know, and the bench reaches some only by
+string, as ``tracer.wrap(owner, "attr")`` (``bench/layers.py``), so a
+name scan would report methods that do have readers.
 """
 
 import ast
@@ -16,15 +27,28 @@ import importlib
 import importlib.util
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
-from typing import Dict, Iterator, List, Set
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 import repro
 
 ROOT = Path(__file__).resolve().parents[1]
-ROOT_FILES = sorted((ROOT / "bench").glob("*.py")) + sorted((ROOT / "benchmarks").glob("*.py"))
+ROOT_FILES = [
+    path for folder in ("bench", "benchmarks", "examples") for path in sorted((ROOT / folder).glob("*.py"))
+]
+INLINE_PYTHON = re.compile(r"python - [^\n]*<<'PY'\n(.*?)\nPY\n", re.DOTALL)
+
+
+def _root_sources() -> Iterator[Tuple[str, str]]:
+    """``(source, label)`` of every root file and smoke-script block."""
+    for path in ROOT_FILES:
+        yield path.read_text(), str(path)
+    for script in sorted((ROOT / "tools").glob("*.sh")):
+        for block in INLINE_PYTHON.findall(script.read_text()):
+            yield block, str(script)
 
 
 def _is_repro(name: str) -> bool:
@@ -38,10 +62,12 @@ def _is_module(name: str) -> bool:
         return False
 
 
-def _defining_module(module: str, attrs: List[str]) -> str:
-    """The module that defines ``module.attrs[0].attrs[1]...``: submodules
-    are descended into, and the first non-module attribute names the module
-    it was defined in (its own module when it carries no ``__module__``)."""
+def _resolve(module: str, attrs: List[str]) -> Tuple[str, Optional[str]]:
+    """The module that defines ``module.attrs[0].attrs[1]...``, and the name
+    it is defined under there. Submodules are descended into; the first
+    non-module attribute names the module it was defined in (its own module
+    when it carries no ``__module__``) and its ``__name__``. The name is
+    ``None`` when every attribute is a module."""
     target = module
     obj = importlib.import_module(module)
     for attr in attrs:
@@ -49,11 +75,12 @@ def _defining_module(module: str, attrs: List[str]) -> str:
             target = f"{target}.{attr}"
             obj = importlib.import_module(target)
             continue
-        owner = getattr(getattr(obj, attr, None), "__module__", None)
+        value = getattr(obj, attr, None)
+        owner = getattr(value, "__module__", None)
         if isinstance(owner, str) and _is_repro(owner):
-            target = owner
-        break
-    return target
+            return owner, getattr(value, "__name__", attr)
+        return target, attr
+    return target, None
 
 
 def _dotted(node: ast.expr) -> List[str]:
@@ -68,15 +95,18 @@ def _dotted(node: ast.expr) -> List[str]:
     return parts[::-1]
 
 
-def _reads(path: Path, package: str) -> Iterator[str]:
-    """The repro modules one source file reads."""
-    tree = ast.parse(path.read_text(), filename=str(path))
+def _reads(source: str, label: str, package: str, own: Optional[str]) -> Iterator[Tuple[str, Optional[str]]]:
+    """The repro modules one source file reads, each with the top-level name
+    read from it (``None`` for a bare module). ``own`` is the file's module
+    name when it is a repro module: a bare name it uses that one of its own
+    top-level definitions binds (outside that definition) is read too."""
+    tree = ast.parse(source, filename=label)
     bound: Dict[str, str] = {}  # local name -> repro module it names
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if _is_repro(alias.name):
-                    yield alias.name
+                    yield alias.name, None
                     top = alias.name if alias.asname else alias.name.split(".")[0]
                     bound[alias.asname or top] = top
         elif isinstance(node, ast.ImportFrom):
@@ -84,14 +114,30 @@ def _reads(path: Path, package: str) -> Iterator[str]:
             if not _is_repro(module):
                 continue
             for alias in node.names:
-                target = _defining_module(module, [alias.name])
-                yield target
-                if _is_module(f"{module}.{alias.name}"):
+                target, name = _resolve(module, [alias.name])
+                yield target, name
+                if name is None:
                     bound[alias.asname or alias.name] = target
     for node in ast.walk(tree):
         parts = _dotted(node) if isinstance(node, ast.Attribute) else []
         if parts and parts[0] in bound:
-            yield _defining_module(bound[parts[0]], parts[1:])
+            yield _resolve(bound[parts[0]], parts[1:])
+    if own is None:
+        return
+    defined = {name for name, _ in _definitions(tree)}
+    for top in tree.body:
+        itself = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and node.id in defined and node.id != itself:
+                yield own, node.id
+
+
+def _definitions(tree: ast.Module) -> Iterator[Tuple[str, int]]:
+    """``(name, line)`` of a module's public top-level functions and classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not node.name.startswith("_"):
+                yield node.name, node.lineno
 
 
 def _module_file(name: str) -> Path:
@@ -104,22 +150,32 @@ def _with_parents(name: str) -> Iterator[str]:
         yield ".".join(parts[:end])
 
 
-def read_modules() -> Set[str]:
-    """Every repro module some root reaches."""
-    read: Set[str] = set()
-    pending = [(path, "") for path in ROOT_FILES] + [(_module_file("repro.__main__"), "repro")]
-    read.add("repro.__main__")
+def _walk() -> Tuple[Set[str], Set[Tuple[str, str]]]:
+    """Every repro module some root reaches, and every ``(module, name)``
+    top-level definition the reached files read."""
+    read: Set[str] = {"repro.__main__"}
+    names: Set[Tuple[str, str]] = set()
+    pending = [(source, label, "", None) for source, label in _root_sources()]
+    main = _module_file("repro.__main__")
+    pending.append((main.read_text(), str(main), "repro", "repro.__main__"))
     while pending:
-        path, package = pending.pop()
-        for module in _reads(path, package):
+        source, label, package, own = pending.pop()
+        for module, attr in _reads(source, label, package, own):
+            if attr is not None:
+                names.add((module, attr))
             for name in _with_parents(module):
                 if name in read:
                     continue
                 read.add(name)
                 origin = _module_file(name)
                 if origin.name != "__init__.py":
-                    pending.append((origin, name.rpartition(".")[0]))
-    return read
+                    pending.append((origin.read_text(), str(origin), name.rpartition(".")[0], name))
+    return read, names
+
+
+def read_modules() -> Set[str]:
+    """Every repro module some root reaches."""
+    return _walk()[0]
 
 
 def all_modules() -> Set[str]:
@@ -131,7 +187,21 @@ def all_modules() -> Set[str]:
 def test_every_module_has_a_reader():
     unread = sorted(all_modules() - read_modules())
     assert unread == [], (
-        f"no root (repro.__main__, bench/*.py, benchmarks/*.py) reads {unread}: "
+        f"no root (repro.__main__, bench, benchmarks, examples, tools/*.sh) reads {unread}: "
+        "delete them, or move them next to the tests that are their only reader"
+    )
+
+
+def test_every_public_function_and_class_has_a_reader():
+    names = _walk()[1]
+    unread = [
+        f"{module}.{name} ({_module_file(module).relative_to(ROOT)}:{line})"
+        for module in sorted(all_modules())
+        for name, line in _definitions(ast.parse(_module_file(module).read_text()))
+        if (module, name) not in names
+    ]
+    assert unread == [], (
+        f"no root (repro.__main__, bench, benchmarks, examples, tools/*.sh) reads {unread}: "
         "delete them, or move them next to the tests that are their only reader"
     )
 

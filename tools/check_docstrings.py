@@ -27,10 +27,8 @@ import ast
 import sys
 from pathlib import Path
 
-#: Package directories or single modules (``name`` → ``name/`` or ``name.py``).
-DEFAULT_PACKAGES = (
-    "core", "obs", "parallel", "serve", "storage", "ingest", "loadgen"
-)
+#: Package directories under ``--root``.
+DEFAULT_PACKAGES = ("core", "obs", "parallel", "serve", "storage", "ingest")
 
 
 def is_public(name: str) -> bool:
@@ -84,16 +82,10 @@ def main(argv: list[str] | None = None) -> int:
     checked = 0
     for package in args.packages:
         base = args.root / package
-        if base.is_dir():
-            paths = sorted(base.rglob("*.py"))
-        elif base.with_suffix(".py").is_file():
-            paths = [base.with_suffix(".py")]  # single-module API (loadgen)
-        else:
-            print(
-                f"error: no such package directory or module: {base}",
-                file=sys.stderr,
-            )
+        if not base.is_dir():
+            print(f"error: no such package directory: {base}", file=sys.stderr)
             return 2
+        paths = sorted(base.rglob("*.py"))
         for path in paths:
             checked += 1
             problems.extend(check_module(path, path.relative_to(args.root.parent)))

@@ -8,7 +8,7 @@ extra dependencies. Both paths document the same package set — the
 public API surface this repo commits to: ``repro.core`` (the paper's
 algorithms), ``repro.obs`` (observability), ``repro.parallel`` (sharded
 construction), ``repro.serve`` (the query service), ``repro.storage``
-(persistence) and ``repro.loadgen`` (the HTTP load generator).
+(persistence) and ``repro.ingest`` (live ingest).
 
 Output is deterministic (no timestamps, sorted member order) so the
 generated pages are committed and diffs stay reviewable::
@@ -36,21 +36,14 @@ PACKAGES = (
     "repro.serve",
     "repro.storage",
     "repro.ingest",
-    "repro.loadgen",
 )
 OUT_DIR = ROOT / "docs" / "api"
 
 
 def iter_modules(package_name: str):
-    """Yield (name, module) for the package and its direct submodules.
-
-    Single-module entries (no ``__path__``, e.g. ``repro.loadgen``) yield
-    just themselves.
-    """
+    """Yield (name, module) for the package and its direct submodules."""
     package = importlib.import_module(package_name)
     yield package_name, package
-    if not hasattr(package, "__path__"):
-        return
     for info in sorted(pkgutil.iter_modules(package.__path__), key=lambda i: i.name):
         if info.name.startswith("_"):
             continue

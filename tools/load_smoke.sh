@@ -1,25 +1,20 @@
 #!/usr/bin/env bash
-# End-to-end smoke for the load generator, the SLO engine, the
+# End-to-end smoke for the query service under load, the SLO engine, the
 # tail-sampled trace store, and the streaming ingest path: build a tiny
 # forest, start `repro serve` with SLOs, telemetry persistence, trace
-# persistence, and live ingest enabled, run a short closed-loop
-# `repro loadgen` against it, stream one day of events through
-# `POST /ingest` (loadgen event mode) and check `/query` reflects it,
+# persistence, and live ingest enabled, drive a short closed loop of
+# `POST /query` against it (inline Python over http.client), stream one
+# day of events through `POST /ingest` and check `/query` reflects it,
 # gate on `repro slo check` — live (`/slo`), then offline against the
 # tsdb segments the sampler persisted — verify the tail sampler kept
 # traces that `repro trace show` resolves both live and from the
-# persisted segments, and finally drain a spool directory offline with
-# `repro ingest --once`, resuming from the published snapshot. The serve
-# process also runs the continuous profiler (`--prof`): the smoke asserts
-# `GET /profile` is non-empty after load, replays the persisted
-# prof segments offline with `repro prof`, and finally forces an SLO PAGE
-# against a strict config to check the alert's exemplar_profile_id
-# resolves to a non-empty flamegraph through `repro prof show`. Each
-# segment directory is seeded with a `<prefix>notes.ndjson` file that is
-# not a segment: serve must start beside it, leave it byte-unchanged and
-# replay without it. CI runs
-# this as the load-smoke job and uploads the BENCH_load.json,
-# BENCH_ingest_load.json, trace segments, prof segments, ingest
+# persisted segments, force an SLO PAGE against a strict config and
+# resolve the alert's trace exemplar offline with `repro trace show`,
+# and finally drain a spool directory offline with `repro ingest --once`,
+# resuming from the published snapshot. Each segment directory is seeded
+# with a `<prefix>notes.ndjson` file that is not a segment: serve must
+# start beside it, leave it byte-unchanged and replay without it. CI
+# runs this as the load-smoke job and uploads the trace segments, ingest
 # checkpoint and snapshot it produces; it works locally too:
 #
 #   tools/load_smoke.sh [out-dir]
@@ -47,29 +42,25 @@ TSDB="$WORK/tsdb"
 SNAPS="$WORK/snaps"
 SPOOL="$WORK/spool"
 TRACES="$OUT_DIR/trace-segments"
-PROF="$OUT_DIR/prof-segments"
 LOG="$WORK/serve.log"
-REPORT="$OUT_DIR/BENCH_load.json"
-INGEST_REPORT="$OUT_DIR/BENCH_ingest_load.json"
-rm -rf "$TRACES" "$PROF"
+rm -rf "$TRACES"
 
 echo "== build a tiny model (1 month of trace, 7 days of forest)"
 python -m repro generate --out "$DATA" --months 1
 python -m repro build --data "$DATA" --model "$MODEL" --days 7
 
 echo "== seed each segment directory with a non-segment file"
-mkdir -p "$TSDB" "$TRACES" "$PROF"
+mkdir -p "$TSDB" "$TRACES"
 echo '{"note": "not a segment"}' >"$TSDB/tsdb-notes.ndjson"
 echo '{"note": "not a segment"}' >"$TRACES/trace-notes.ndjson"
-echo '{"note": "not a segment"}' >"$PROF/prof-notes.ndjson"
 sha256sum "$TSDB/tsdb-notes.ndjson" "$TRACES/trace-notes.ndjson" \
-    "$PROF/prof-notes.ndjson" >"$WORK/notes.sha256"
+    >"$WORK/notes.sha256"
 
-echo "== start repro serve with SLOs + tsdb + traces + profiler + ingest"
+echo "== start repro serve with SLOs + tsdb + traces + ingest"
 python -m repro serve --data "$DATA" --model "$MODEL" --port 0 \
     --slo "$ROOT/examples/slo.yaml" --tsdb-dir "$TSDB" \
     --sample-interval 0.5 --trace-dir "$TRACES" \
-    --trace-threshold 0 --prof --prof-dir "$PROF" \
+    --trace-threshold 0 \
     --ingest --ingest-snapshot-dir "$SNAPS" \
     >"$LOG" 2>&1 &
 SERVE_PID=$!
@@ -86,38 +77,89 @@ done
 [ -n "$BASE" ] || { echo "server never printed its URL"; cat "$LOG"; exit 1; }
 echo "   serving at $BASE"
 
-echo "== closed-loop loadgen for 5s"
-python -m repro loadgen "$BASE" --mode closed --duration 5 \
-    --concurrency 2 --limit 5 --out "$REPORT"
+echo "== closed loop: 2 clients POST /query for 5s"
+python - "$BASE" <<'PY'
+import http.client, json, sys, threading, time
+from urllib.parse import urlsplit
 
-echo "== BENCH_load.json carries rates and quantiles"
-python - "$REPORT" <<'PY'
-import json, sys
-doc = json.loads(open(sys.argv[1]).read())
-assert doc["requests"] > 0, doc
-assert doc["error_rate"] == 0.0, doc
-assert doc["achieved_rate"] > 0, doc
-for q in ("p50", "p95", "p99", "max"):
-    assert doc["latency_seconds"][q] > 0, (q, doc)
-print(f"   {doc['requests']} requests at {doc['achieved_rate']}/s, "
-      f"p99 {doc['latency_seconds']['p99']*1e3:.1f}ms")
+url = urlsplit(sys.argv[1])
+# day and week windows over the 7 built days; every 4th asks for explain
+bodies = [
+    json.dumps({"first_day": first, "days": days, "limit": 5,
+                "explain": i % 4 == 0}).encode()
+    for i, (first, days) in enumerate([(0, 1), (0, 7), (3, 1), (6, 1)])
+]
+latencies, failures, lock = [], [], threading.Lock()
+deadline = time.monotonic() + 5.0
+
+def client(offset):
+    conn = http.client.HTTPConnection(url.hostname, url.port, timeout=30)
+    i = offset
+    while time.monotonic() < deadline:
+        started = time.perf_counter()
+        conn.request("POST", "/query", body=bodies[i % len(bodies)])
+        response = conn.getresponse()
+        doc = json.loads(response.read())
+        with lock:
+            if response.status == 200 and "clusters" in doc:
+                latencies.append(time.perf_counter() - started)
+            else:
+                failures.append((response.status, doc))
+        i += 1
+    conn.close()
+
+threads = [threading.Thread(target=client, args=(k,)) for k in range(2)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join()
+assert latencies, "no query succeeded"
+assert not failures, failures[:3]
+latencies.sort()
+p50 = latencies[len(latencies) // 2]
+print(f"   {len(latencies)} queries, 0 errors, p50 {p50 * 1e3:.1f}ms, "
+      f"max {latencies[-1] * 1e3:.1f}ms")
 PY
 
-echo "== stream one day of events through POST /ingest (loadgen event mode)"
-python -m repro loadgen "$BASE" --mode ingest --data "$DATA" \
-    --days 1 --first-day 7 --out "$INGEST_REPORT"
+echo "== stream day 7 through POST /ingest, 12 windows a batch, flush last"
+python - "$BASE" "$DATA" <<'PY'
+import http.client, json, sys
+from pathlib import Path
+from urllib.parse import urlsplit
 
-echo "== BENCH_ingest_load.json carries throughput and the closed day"
-python - "$INGEST_REPORT" <<'PY'
-import json, sys
-doc = json.loads(open(sys.argv[1]).read())
-assert doc["mode"] == "ingest", doc
-assert doc["accepted"] > 0, doc
-assert doc["errors"] == 0, doc
-assert doc["closed_days"] == 1, doc
-assert doc["events_per_second"] > 0, doc
-print(f"   {doc['accepted']} events in {doc['batches']} batches at "
-      f"{doc['events_per_second']:.0f}/s, 1 day closed")
+import numpy as np
+
+from repro.ingest.contract import render_ndjson
+from repro.storage.catalog import DatasetCatalog
+
+url, data = urlsplit(sys.argv[1]), Path(sys.argv[2])
+batch = next(d for d in DatasetCatalog(data) if 7 in d.days).atypical_day(7)
+order = np.lexsort((batch.sensor_ids, batch.windows))  # stream order
+rows = [(int(batch.sensor_ids[i]), int(batch.windows[i]),
+         float(batch.severities[i])) for i in order]
+windows = sorted({window for _, window, _ in rows})
+edges = windows[::12][1:] + [windows[-1] + 1]
+chunks, start = [], 0
+for edge in edges:
+    end = next((k for k, row in enumerate(rows) if row[1] >= edge), len(rows))
+    chunks.append(rows[start:end])
+    start = end
+conn = http.client.HTTPConnection(url.hostname, url.port, timeout=60)
+accepted, closed = 0, []
+for k, chunk in enumerate(chunks):
+    path = "/ingest?flush=1" if k == len(chunks) - 1 else "/ingest"
+    conn.request("POST", path, body=render_ndjson(chunk),
+                 headers={"Content-Type": "application/x-ndjson"})
+    response = conn.getresponse()
+    doc = json.loads(response.read())
+    assert response.status == 200, (response.status, doc)
+    assert not doc["rejected"], doc
+    accepted += doc["accepted"]
+    closed += doc["closed_days"]
+conn.close()
+assert accepted == len(rows) > 0, (accepted, len(rows))
+assert closed == [7], closed
+print(f"   {accepted} events in {len(chunks)} batches, day 7 closed")
 PY
 
 echo "== /query reflects the streamed day (flushed, so staleness is 0)"
@@ -133,7 +175,7 @@ curl -fsS "$BASE/healthz" | python -c '
 import json, sys
 doc = json.load(sys.stdin)
 subsystems = doc["subsystems"]
-assert set(subsystems) == {"tsdb", "traces", "profiler", "ingest"}, subsystems
+assert set(subsystems) == {"tsdb", "traces", "ingest"}, subsystems
 for name, block in subsystems.items():
     assert block["enabled"] is True, (name, block)
     assert "segments" in block and "last_flush_age_seconds" in block, block
@@ -142,31 +184,8 @@ assert ingest["open_day"] == 8, ingest
 assert ingest["pending_rows"] == 0, ingest
 assert ingest["staleness_seconds"] == 0.0, ingest
 assert ingest["snapshots"] >= 1, ingest
-assert subsystems["profiler"]["running"] is True, subsystems
 print("   open day " + str(ingest["open_day"]) + ", "
       + str(ingest["accepted"]) + " accepted, snapshot published")
-'
-
-echo "== GET /profile is non-empty after the load"
-curl -fsS "$BASE/profile" | python -c '
-import json, sys
-doc = json.load(sys.stdin)
-assert doc["enabled"] is True, doc
-assert doc["samples"] > 0, doc
-assert doc["total"] > 0, doc
-assert doc["top"], doc
-print("   " + str(doc["total"]) + " thread samples, hottest: "
-      + doc["top"][0]["frame"])
-'
-curl -fsS "$BASE/profile?format=collapsed" | grep ";" >/dev/null \
-    || { echo "collapsed export is empty"; exit 1; }
-curl -fsS "$BASE/profile?format=speedscope" | python -c '
-import json, sys
-doc = json.load(sys.stdin)
-assert doc["$schema"].endswith("file-format-schema.json"), doc
-assert doc["profiles"][0]["weights"], doc
-print("   speedscope export has " + str(len(doc["shared"]["frames"]))
-      + " frames")
 '
 
 echo "== the day close published an atomic snapshot"
@@ -203,11 +222,12 @@ python -m repro trace show "$TRACE_ID" --trace-dir "$TRACES" \
 echo "== repro slo check (live) gates green"
 python -m repro slo check "$BASE"
 
-echo "== repro top renders the alerts, ingest, and hottest-frames panels"
-TOP_OUT="$(python -m repro top --url "$BASE/metrics" --iterations 1 --no-clear)"
-grep -q "alerts (SLO)" <<<"$TOP_OUT" || { echo "missing alerts panel"; exit 1; }
-grep -q "live ingest" <<<"$TOP_OUT" || { echo "missing ingest panel"; exit 1; }
-grep -q "hottest frames" <<<"$TOP_OUT" || { echo "missing profile panel"; exit 1; }
+echo "== /metrics exports the request and ingest counters"
+METRICS_OUT="$(curl -fsS "$BASE/metrics")"
+grep -q "^repro_serve_requests_total " <<<"$METRICS_OUT" \
+    || { echo "missing request counter"; exit 1; }
+grep -q "^repro_ingest_events_accepted_total " <<<"$METRICS_OUT" \
+    || { echo "missing ingest counter"; exit 1; }
 
 echo "== misuse exits 2 with one error line"
 set +e
@@ -238,14 +258,7 @@ ls "$TRACES"/trace-*.ndjson >/dev/null
 python -m repro trace ls --trace-dir "$TRACES" \
     | grep "$TRACE_ID" >/dev/null || { echo "persisted trace missing"; exit 1; }
 
-echo "== repro prof replays the persisted profile segments offline"
-ls "$PROF"/prof-*.ndjson >/dev/null
-python -m repro prof ls --prof-dir "$PROF" | grep "pw-" >/dev/null \
-    || { echo "no persisted profile windows"; exit 1; }
-python -m repro prof show --prof-dir "$PROF" | grep ";" >/dev/null \
-    || { echo "offline merged flamegraph is empty"; exit 1; }
-
-echo "== a forced SLO PAGE carries a resolvable profile exemplar"
+echo "== a forced SLO PAGE carries a resolvable trace exemplar"
 STRICT_SLO="$WORK/strict-slo.yaml"
 cat > "$STRICT_SLO" <<'YAML'
 slos:
@@ -254,11 +267,11 @@ slos:
     objective: 0.999
 min_requests: 1
 YAML
-PROF2="$WORK/prof-page"
+TRACES2="$WORK/traces-page"
 LOG2="$WORK/serve-page.log"
 python -m repro serve --data "$DATA" --model "$MODEL" --port 0 \
     --slo "$STRICT_SLO" --sample-interval 0.5 \
-    --prof --prof-dir "$PROF2" >"$LOG2" 2>&1 &
+    --trace-dir "$TRACES2" >"$LOG2" 2>&1 &
 SERVE_PID=$!
 BASE2=""
 for _ in $(seq 1 100); do
@@ -270,7 +283,8 @@ for _ in $(seq 1 100); do
     sleep 0.2
 done
 [ -n "$BASE2" ] || { echo "page-scenario server never printed its URL"; cat "$LOG2"; exit 1; }
-# burn the availability budget: a batch of malformed queries 400s
+# burn the availability budget: a batch of malformed queries 400s, and
+# the tail sampler keeps every errored request
 for _ in $(seq 1 10); do
     curl -sS -o /dev/null -X POST "$BASE2/query" -d '{not json' || true
 done
@@ -282,22 +296,20 @@ doc = json.load(sys.stdin)
 assert doc["state"] == "PAGE", doc
 entry = doc["slos"][0]
 assert entry["state"] == "PAGE", entry
-assert entry["exemplar_profile_id"], entry
-print(entry["exemplar_profile_id"])
+assert entry["exemplar_trace_ids"], entry
+print(entry["exemplar_trace_ids"][0])
 ')"
-echo "   paged with profile exemplar $EXEMPLAR"
+echo "   paged with trace exemplar $EXEMPLAR"
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID" || { echo "page-scenario serve failed"; cat "$LOG2"; exit 1; }
 SERVE_PID=""
 
-echo "== repro prof show resolves the exemplar to a non-empty flamegraph"
-SHOW_OUT="$(python -m repro prof show "$EXEMPLAR" --prof-dir "$PROF2")"
-grep -q "profile window $EXEMPLAR" <<<"$SHOW_OUT" \
-    || { echo "exemplar window missing offline"; exit 1; }
-grep -q "\[pinned\]" <<<"$SHOW_OUT" \
-    || { echo "exemplar window not pinned"; exit 1; }
-grep -q ";" <<<"$SHOW_OUT" \
-    || { echo "exemplar flamegraph is empty"; exit 1; }
+echo "== repro trace show resolves the exemplar offline to the errored request"
+SHOW_OUT="$(python -m repro trace show "$EXEMPLAR" --trace-dir "$TRACES2")"
+grep -q "trace $EXEMPLAR" <<<"$SHOW_OUT" \
+    || { echo "exemplar trace missing offline"; exit 1; }
+grep -q "status=400" <<<"$SHOW_OUT" \
+    || { echo "exemplar trace is not the errored request"; exit 1; }
 echo "   exemplar $EXEMPLAR resolves offline"
 
 echo "== spool one more day and drain it with repro ingest --once"

@@ -71,9 +71,11 @@ echo "$METRICS" | grep -E '^repro_serve_requests_total [1-9]' >/dev/null || {
     exit 1
 }
 
-echo "== repro top renders one frame from the live endpoint"
-python -m repro top --url "$BASE/metrics" --iterations 1 --no-clear \
-    | grep "repro top" >/dev/null || { echo "repro top produced no frame"; exit 1; }
+echo "== GET /metrics counts the one POST /query and times it"
+grep -q '^repro_serve_requests_query_total 1$' <<<"$METRICS" \
+    || { echo "expected repro_serve_requests_query_total 1"; exit 1; }
+grep -q '^repro_serve_query_seconds_count 1$' <<<"$METRICS" \
+    || { echo "expected repro_serve_query_seconds_count 1"; exit 1; }
 
 echo "== SIGTERM drains and exits 0"
 kill -TERM "$SERVE_PID"
